@@ -2,7 +2,8 @@
  * @file
  * Microbenchmarks for the simulator's host-side hot paths (DESIGN.md §14):
  * PCRF chain store/restore through the arena-style free-space monitor,
- * 64-bit RegBitVec word operations, and EventWheel push/pop traffic.
+ * 64-bit RegBitVec word operations, EventWheel push/pop traffic, and the
+ * warp scheduler's issue pick.
  * Unlike the per-figure bench binaries these are direct google-benchmark
  * loops over the data structures, not full simulator runs — they track
  * constant-factor regressions in the structures the run loop leans on.
@@ -11,12 +12,16 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bitvec.hh"
 #include "common/stats.hh"
 #include "core/event_wheel.hh"
+#include "isa/kernel_builder.hh"
 #include "regfile/pcrf.hh"
+#include "sm/cta.hh"
+#include "sm/warp_scheduler.hh"
 
 using namespace finereg;
 
@@ -166,6 +171,49 @@ BM_EventWheelHeapStress(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 32);
 }
 BENCHMARK(BM_EventWheelHeapStress);
+
+/**
+ * GTO pick over 16 warps (two 8-warp CTAs), range(0) of them awake. The
+ * sleeping warps are the oldest and carry a far wake hint, so every pick
+ * skips them the way Sm::warpIssuable does; a picked warp enters a
+ * two-cycle issue shadow, pushing the next pick past the greedy warp.
+ */
+void
+BM_WarpSchedulerPick(benchmark::State &state)
+{
+    KernelBuilder b("pick");
+    b.regsPerThread(8).threadsPerCta(256);
+    b.newBlock();
+    b.exit();
+    const auto kernel = b.finalize();
+    const KernelContext ctx(*kernel);
+    Cta old_cta(0, 0, ctx);
+    Cta young_cta(1, 1, ctx);
+
+    WarpScheduler sched(SchedKind::GTO, 0);
+    std::vector<Warp *> warps;
+    for (Cta *cta : {&old_cta, &young_cta}) {
+        for (auto &warp : cta->warps()) {
+            sched.addWarp(warp.get());
+            warps.push_back(warp.get());
+        }
+    }
+    const auto awake = static_cast<std::size_t>(state.range(0));
+    for (std::size_t i = 0; i + awake < warps.size(); ++i)
+        warps[i]->setWakeHint(kNoCycle);
+
+    Cycle now = 0;
+    for (auto _ : state) {
+        Warp *pick =
+            sched.pick([&](Warp *w) { return w->wakeHint() <= now; });
+        if (pick)
+            pick->setWakeHint(now + 2);
+        benchmark::DoNotOptimize(pick);
+        ++now;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WarpSchedulerPick)->Arg(2)->Arg(14);
 
 } // namespace
 

@@ -33,13 +33,6 @@ class Scoreboard
             fromMem_.reset(reg);
     }
 
-    /** True when every operand of @p instr is available at @p now. */
-    bool
-    ready(const Instruction &instr, Cycle now)
-    {
-        return readyCycle(instr, now) <= now;
-    }
-
     /**
      * Earliest cycle at which @p instr can issue: the latest ready time of
      * its sources (RAW) and destination (WAW). Expires settled entries as a

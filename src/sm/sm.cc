@@ -222,39 +222,65 @@ void
 Sm::addWarpToSchedulers(Cta &cta)
 {
     for (auto &warp : cta.warps()) {
-        if (warp->finished())
-            continue;
-        const unsigned slot =
-            (cta.launchSeq() * cta.numWarps() + warp->id()) %
-            config_.numSchedulers;
-        schedulers_[slot].addWarp(warp.get());
+        if (!warp->finished())
+            schedulerOf(*warp).addWarp(warp.get());
     }
 }
 
 void
 Sm::removeWarpFromSchedulers(Cta &cta)
 {
-    for (auto &warp : cta.warps()) {
-        for (auto &sched : schedulers_)
-            sched.removeWarp(warp.get());
-    }
+    for (auto &warp : cta.warps())
+        schedulerOf(*warp).removeWarp(warp.get());
+}
+
+/**
+ * The cycle until which @p warp cannot issue for a reason that lasts —
+ * issue shadow, scoreboard, barrier or finished (kNoCycle for the last
+ * two) — or 0 when none applies. Only setEarliestIssue(), which every
+ * issue and every wake calls, can end such a block early, and it clears
+ * the warp's wake hint.
+ */
+Cycle
+Sm::blockedUntil(Warp &warp, Cycle now)
+{
+    if (warp.finished() || warp.atBarrier())
+        return kNoCycle;
+    if (warp.earliestIssue() > now)
+        return warp.earliestIssue();
+    if (warp.pastEnd())
+        return 0; // will be retired at issue
+    const Cycle ready =
+        warp.scoreboard().readyCycle(warp.currentInstr(), now);
+    return ready > now ? ready : 0;
 }
 
 bool
 Sm::warpIssuable(Warp *warp, Cycle now)
 {
-    if (warp->finished() || warp->atBarrier())
-        return false;
-    if (warp->earliestIssue() > now)
-        return false;
-    if (warp->pastEnd())
-        return true; // will be retired at issue
-    const Instruction &instr = warp->currentInstr();
-    if (isMemory(instr.op) && isGlobalMemory(instr.op) &&
-        memIssuedThisCycle_ >= config_.memPortsPerCycle) {
+    if (warp->wakeHint() > now) {
+#ifndef NDEBUG
+        if (blockedUntil(*warp, now) <= now) {
+            FINEREG_PANIC("wake hint ", warp->wakeHint(), " hides issuable "
+                          "warp ", warp->id(), " of CTA ",
+                          warp->cta()->gridId(), " at cycle ", now);
+        }
+#endif
         return false;
     }
-    return warp->scoreboard().ready(instr, now);
+    const Cycle until = blockedUntil(*warp, now);
+    if (until > now) {
+        warp->setWakeHint(until);
+        return false;
+    }
+    // A busy memory port frees up next cycle: never cached in the hint.
+    if (!warp->pastEnd()) {
+        const Instruction &instr = warp->currentInstr();
+        if (isGlobalMemory(instr.op) &&
+            memIssuedThisCycle_ >= config_.memPortsPerCycle)
+            return false;
+    }
+    return true;
 }
 
 unsigned
@@ -457,8 +483,7 @@ void
 Sm::finishWarp(Warp &warp, Cycle now)
 {
     Cta *cta = warp.cta();
-    for (auto &sched : schedulers_)
-        sched.removeWarp(&warp);
+    schedulerOf(warp).removeWarp(&warp);
 
     if (!warp.finished()) {
         // Retired via pastEnd(): mark done.

@@ -208,6 +208,7 @@ class Sm
 
   private:
     bool warpIssuable(Warp *warp, Cycle now);
+    Cycle blockedUntil(Warp &warp, Cycle now);
     void issueInstr(Warp &warp, Cycle now);
     void execBranch(Warp &warp, const Instruction &instr, Cycle now);
     void execMemory(Warp &warp, const Instruction &instr, Cycle now);
@@ -215,6 +216,15 @@ class Sm
     void finishWarp(Warp &warp, Cycle now);
     void addWarpToSchedulers(Cta &cta);
     void removeWarpFromSchedulers(Cta &cta);
+
+    /** The scheduler a warp is statically assigned to. */
+    WarpScheduler &
+    schedulerOf(const Warp &warp)
+    {
+        const Cta &cta = *warp.cta();
+        return schedulers_[(cta.launchSeq() * cta.numWarps() + warp.id()) %
+                           config_.numSchedulers];
+    }
 
     void
     scheduleWake(Cycle cycle)

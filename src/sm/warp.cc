@@ -13,6 +13,7 @@ void
 Warp::setEarliestIssue(Cycle c)
 {
     earliestIssue_ = std::max(earliestIssue_, c);
+    wakeHint_ = 0;
     cta_->invalidateStallCache();
     if (wheel_)
         wheel_->schedule(c);

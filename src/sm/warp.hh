@@ -91,10 +91,21 @@ class Warp
     const Scoreboard &scoreboard() const { return scoreboard_; }
 
     /** Earliest cycle the front end may issue from this warp. Announces
-     * the wake to the bound event wheel and drops the parent CTA's stall
-     * memo (defined in warp.cc: Cta is incomplete here). */
+     * the wake to the bound event wheel, clears the wake hint and drops
+     * the parent CTA's stall memo (defined in warp.cc: Cta is incomplete
+     * here). */
     Cycle earliestIssue() const { return earliestIssue_; }
     void setEarliestIssue(Cycle c);
+
+    /**
+     * Issue-path wake hint: the SM's issue check found this warp blocked
+     * until this cycle for a reason only setEarliestIssue() can lift
+     * sooner (issue shadow, scoreboard, barrier; kNoCycle = until woken).
+     * The scheduler skips the warp while the hint lies in the future.
+     * 0 = no hint: evaluate the warp in full.
+     */
+    Cycle wakeHint() const { return wakeHint_; }
+    void setWakeHint(Cycle c) { wakeHint_ = c; }
 
     /**
      * Attach the SM's idle-skip event wheel: every earliest-issue update
@@ -145,6 +156,7 @@ class Warp
 
     Scoreboard scoreboard_;
     Cycle earliestIssue_ = 0;
+    Cycle wakeHint_ = 0;
     Cycle lastIssueCycle_ = 0;
     EventWheel *wheel_ = nullptr;
 

@@ -28,17 +28,29 @@ class WarpScheduler
 
     unsigned id() const { return id_; }
 
+    /**
+     * GTO keeps warps_ in age order — (CTA launchSeq, warp id), unique per
+     * SM — so the oldest issuable warp is the first one found. LRR keeps
+     * insertion order, which its rotation depends on.
+     */
     void
     addWarp(Warp *warp)
     {
-        warps_.push_back(warp);
+        if (kind_ == SchedKind::GTO)
+            warps_.insert(ageLowerBound(warp), warp);
+        else
+            warps_.push_back(warp);
     }
 
+    /** Remove @p warp; a no-op when it is not scheduled here. */
     void
     removeWarp(Warp *warp)
     {
-        warps_.erase(std::remove(warps_.begin(), warps_.end(), warp),
-                     warps_.end());
+        const auto it = kind_ == SchedKind::GTO
+                            ? ageLowerBound(warp)
+                            : std::find(warps_.begin(), warps_.end(), warp);
+        if (it != warps_.end() && *it == warp)
+            warps_.erase(it);
         if (greedy_ == warp)
             greedy_ = nullptr;
         if (rrIndex_ >= warps_.size())
@@ -63,16 +75,14 @@ class WarpScheduler
             // Greedy: stick with the last issuer while it can go.
             if (greedy_ && issuable(greedy_))
                 return greedy_;
-            // Then-oldest: earliest CTA launch, then lowest warp id.
-            Warp *best = nullptr;
+            // Then-oldest: warps_ is in age order.
             for (Warp *w : warps_) {
-                if (!issuable(w))
-                    continue;
-                if (!best || olderThan(w, best))
-                    best = w;
+                if (issuable(w)) {
+                    greedy_ = w;
+                    return w;
+                }
             }
-            greedy_ = best ? best : greedy_;
-            return best;
+            return nullptr;
         }
 
         // LRR: rotate through the list starting after the last pick.
@@ -96,6 +106,13 @@ class WarpScheduler
         if (sa != sb)
             return sa < sb;
         return a->id() < b->id();
+    }
+
+    std::vector<Warp *>::iterator
+    ageLowerBound(const Warp *warp)
+    {
+        return std::lower_bound(warps_.begin(), warps_.end(), warp,
+                                olderThan);
     }
 
     SchedKind kind_;

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "isa/kernel_builder.hh"
 #include "policies/finereg_policy.hh"
 #include "policies/regmutex_policy.hh"
@@ -154,6 +156,102 @@ TEST(FineRegPolicyTest, PcrfHoldsPendingLiveRegisters)
     EXPECT_EQ(gpu.stats().counterValue("pcrf.stored_ctas"),
               gpu.stats().counterValue("pcrf.restored_ctas") +
                   0u); // every stored CTA is eventually restored
+}
+
+/**
+ * Wraps a policy and plants a stale wake hint on the warps of every
+ * pending CTA before each tick. A restore — resumeCta plus FineReg's
+ * per-warp PCRF chain wake — must clear it, or the restored warps would
+ * be skipped forever.
+ */
+class StaleHintPolicy final : public Policy
+{
+  public:
+    explicit StaleHintPolicy(std::unique_ptr<Policy> inner)
+        : inner_(std::move(inner))
+    {}
+
+    const char *name() const override { return inner_->name(); }
+
+    void
+    tick(Sm &sm, Cycle now) override
+    {
+        const std::vector<Cta *> pending = sm.pendingCtaList();
+        for (Cta *cta : pending) {
+            for (auto &warp : cta->warps())
+                warp->setWakeHint(kNoCycle);
+        }
+        inner_->tick(sm, now);
+        for (Cta *cta : pending) {
+            if (cta->state() != CtaState::Active)
+                continue;
+            ++restores;
+            for (auto &warp : cta->warps()) {
+                if (warp->finished())
+                    continue;
+                EXPECT_EQ(warp->wakeHint(), 0u);
+                wakeOffsets.insert(warp->earliestIssue() - now);
+            }
+        }
+    }
+
+    void
+    onCtaFinished(Sm &sm, Cta &cta, Cycle now) override
+    {
+        inner_->onCtaFinished(sm, cta, now);
+    }
+
+    bool
+    rfDepletionBlocked(const Sm &sm, Cycle now) const override
+    {
+        return inner_->rfDepletionBlocked(sm, now);
+    }
+
+    Cycle
+    nextEventCycle(const Sm &sm, Cycle now) const override
+    {
+        return inner_->nextEventCycle(sm, now);
+    }
+
+    std::uint64_t
+    storageOverheadBits() const override
+    {
+        return inner_->storageOverheadBits();
+    }
+
+    void
+    audit(const Sm &sm, Cycle now) const override
+    {
+        inner_->audit(sm, now);
+    }
+
+    unsigned restores = 0;
+    std::set<Cycle> wakeOffsets; ///< earliestIssue - now after a restore.
+
+  protected:
+    void onBind() override { inner_->bind(gpu()); }
+
+  private:
+    std::unique_ptr<Policy> inner_;
+};
+
+TEST(FineRegPolicyTest, RestoreChainWakeClearsStaleWakeHints)
+{
+    const GpuConfig config = configFor(PolicyKind::FineReg);
+    const auto kernel = streamingKernel();
+    Gpu plain(config, *kernel);
+    const GpuRunResult expected = plain.run();
+
+    auto wrapper = std::make_unique<StaleHintPolicy>(makePolicy(config));
+    StaleHintPolicy &stale = *wrapper;
+    Gpu gpu(config, *kernel, std::move(wrapper));
+    const GpuRunResult result = gpu.run();
+    EXPECT_FALSE(result.hitCycleLimit);
+    EXPECT_GT(stale.restores, 0u);
+    // Chain positions differ, so the per-warp wake times do too.
+    EXPECT_GT(stale.wakeOffsets.size(), 1u);
+    EXPECT_EQ(result.cycles, expected.cycles);
+    EXPECT_EQ(result.instructions, expected.instructions);
 }
 
 TEST(FineRegPolicyTest, LiveRegistersSmallerThanFullContext)

@@ -26,7 +26,7 @@ aluUsing(int dst, int src0, int src1 = -1)
 TEST(Scoreboard, FreshBoardIsReady)
 {
     Scoreboard sb;
-    EXPECT_TRUE(sb.ready(aluUsing(0, 1, 2), 0));
+    EXPECT_LE(sb.readyCycle(aluUsing(0, 1, 2), 0), 0u);
 }
 
 TEST(Scoreboard, RawHazardBlocksUntilReady)
@@ -34,9 +34,9 @@ TEST(Scoreboard, RawHazardBlocksUntilReady)
     Scoreboard sb;
     sb.recordWrite(3, 100, false);
     Instruction use = aluUsing(4, 3);
-    EXPECT_FALSE(sb.ready(use, 50));
+    EXPECT_GT(sb.readyCycle(use, 50), 50u);
     EXPECT_EQ(sb.readyCycle(use, 50), 100u);
-    EXPECT_TRUE(sb.ready(use, 100));
+    EXPECT_LE(sb.readyCycle(use, 100), 100u);
 }
 
 TEST(Scoreboard, WawHazardBlocks)
@@ -44,15 +44,15 @@ TEST(Scoreboard, WawHazardBlocks)
     Scoreboard sb;
     sb.recordWrite(3, 100, false);
     Instruction redefine = aluUsing(3, 1);
-    EXPECT_FALSE(sb.ready(redefine, 50));
-    EXPECT_TRUE(sb.ready(redefine, 101));
+    EXPECT_GT(sb.readyCycle(redefine, 50), 50u);
+    EXPECT_LE(sb.readyCycle(redefine, 101), 101u);
 }
 
 TEST(Scoreboard, IndependentInstructionUnaffected)
 {
     Scoreboard sb;
     sb.recordWrite(3, 100, false);
-    EXPECT_TRUE(sb.ready(aluUsing(5, 6), 0));
+    EXPECT_LE(sb.readyCycle(aluUsing(5, 6), 0), 0u);
 }
 
 TEST(Scoreboard, MemoryBlockingClassification)
@@ -72,14 +72,14 @@ TEST(Scoreboard, RedefineClearsMemoryFlag)
     sb.recordWrite(2, 500, true);
     sb.recordWrite(2, 50, false); // ALU redefines the register sooner
     EXPECT_FALSE(sb.blockedOnMemory(aluUsing(4, 2), 100));
-    EXPECT_TRUE(sb.ready(aluUsing(4, 2), 60));
+    EXPECT_LE(sb.readyCycle(aluUsing(4, 2), 60), 60u);
 }
 
 TEST(Scoreboard, ReadyExpiresSettledEntries)
 {
     Scoreboard sb;
     sb.recordWrite(1, 10, true);
-    EXPECT_TRUE(sb.ready(aluUsing(2, 1), 20));
+    EXPECT_LE(sb.readyCycle(aluUsing(2, 1), 20), 20u);
     // Once expired, the stale memory flag must not resurface.
     EXPECT_FALSE(sb.blockedOnMemory(aluUsing(2, 1), 5));
 }
@@ -98,7 +98,7 @@ TEST(Scoreboard, ClearResets)
     Scoreboard sb;
     sb.recordWrite(1, 1000, true);
     sb.clear();
-    EXPECT_TRUE(sb.ready(aluUsing(2, 1), 0));
+    EXPECT_LE(sb.readyCycle(aluUsing(2, 1), 0), 0u);
     EXPECT_EQ(sb.lastPendingCycle(0), 0u);
 }
 

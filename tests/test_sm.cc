@@ -250,5 +250,97 @@ TEST_F(SmFixture, RfAccessCountersTrackOperands)
     EXPECT_EQ(stats->counterValue("sm.rf_writes"), 12u);
 }
 
+// ---- Issue-path wake hint -----------------------------------------------
+
+TEST_F(SmFixture, ScoreboardBlockIsCachedInTheWakeHint)
+{
+    build(computeKernel());
+    Cta *cta = sm->launchCta(0, 0);
+    Warp &warp = *cta->warps()[0];
+    sm->tick(1); // IADD r1 issues; ALU latency 4
+    EXPECT_EQ(warp.wakeHint(), 0u);
+    sm->tick(2); // the next IADD reads r1: blocked until cycle 5
+    EXPECT_EQ(warp.wakeHint(), 1 + config.aluLatency);
+    for (Cycle c = 3; c < 5; ++c)
+        EXPECT_EQ(sm->tick(c), 0u);
+    EXPECT_EQ(sm->tick(5), 2u);
+    EXPECT_EQ(warp.lastIssueCycle(), 5u);
+}
+
+TEST_F(SmFixture, BarrierReleaseByLastArrivalClearsTheWakeHint)
+{
+    build(barrierKernel());
+    Cta *cta = sm->launchCta(0, 0);
+    Warp &early = *cta->warps()[0];
+    Warp &late = *cta->warps()[1];
+    late.setEarliestIssue(50);
+    for (Cycle c = 1; c < 50; ++c)
+        sm->tick(c);
+    ASSERT_TRUE(early.atBarrier());
+    EXPECT_EQ(early.wakeHint(), kNoCycle);
+    EXPECT_EQ(late.wakeHint(), 50u);
+
+    sm->tick(50); // late: IADD
+    sm->tick(51); // late: BAR, the last arrival releases the barrier
+    EXPECT_FALSE(early.atBarrier());
+    EXPECT_EQ(early.wakeHint(), 0u);
+    sm->tick(52);
+    EXPECT_EQ(early.lastIssueCycle(), 52u);
+}
+
+TEST_F(SmFixture, BarrierReleaseByAFinishingWarpClearsTheWakeHint)
+{
+    build(barrierKernel());
+    Cta *cta = sm->launchCta(0, 0);
+    Warp &early = *cta->warps()[0];
+    Warp &late = *cta->warps()[1];
+    late.setEarliestIssue(50);
+    late.setPc(context->endPc()); // retires without reaching the barrier
+    for (Cycle c = 1; c < 50; ++c)
+        sm->tick(c);
+    ASSERT_TRUE(early.atBarrier());
+    ASSERT_EQ(early.wakeHint(), kNoCycle);
+
+    sm->tick(50); // late retires; early is the only live warp left
+    EXPECT_TRUE(late.finished());
+    EXPECT_FALSE(early.atBarrier());
+    EXPECT_EQ(early.wakeHint(), 0u);
+    sm->tick(51);
+    EXPECT_EQ(early.lastIssueCycle(), 51u);
+}
+
+TEST_F(SmFixture, ResumeWithWakeLatencyClearsTheWakeHint)
+{
+    build(computeKernel());
+    Cta *cta = sm->launchCta(0, 0);
+    sm->tick(1);
+    sm->tick(2);
+    ASSERT_EQ(cta->warps()[0]->wakeHint(), 5u);
+    sm->suspendCta(*cta, 3);
+    sm->resumeCta(*cta, 3, 10);
+    for (const auto &warp : cta->warps())
+        EXPECT_EQ(warp->wakeHint(), 0u);
+    for (Cycle c = 3; c < 13; ++c)
+        EXPECT_EQ(sm->tick(c), 0u);
+    EXPECT_EQ(sm->tick(13), 2u); // both warps wake after the latency
+}
+
+TEST_F(SmFixture, MemoryPortRefusalIsNotCached)
+{
+    config.memPortsPerCycle = 1;
+    build(memoryKernel());
+    Cta *cta = sm->launchCta(0, 0);
+    Warp &winner = *cta->warps()[0];
+    Warp &loser = *cta->warps()[1];
+    // Both warps are ready with a global load at cycle 1, on different
+    // schedulers; the single memory port takes the first.
+    EXPECT_EQ(sm->tick(1), 1u);
+    EXPECT_EQ(winner.lastIssueCycle(), 1u);
+    EXPECT_EQ(loser.issuedInstrs(), 0u);
+    EXPECT_EQ(loser.wakeHint(), 0u);
+    EXPECT_EQ(sm->tick(2), 1u);
+    EXPECT_EQ(loser.lastIssueCycle(), 2u);
+}
+
 } // namespace
 } // namespace finereg

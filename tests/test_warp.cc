@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
+#include "common/rng.hh"
 #include "isa/kernel_builder.hh"
 #include "sm/cta.hh"
 #include "sm/kernel_context.hh"
@@ -253,6 +258,174 @@ TEST_F(SchedulerFixture, NoIssuableWarpReturnsNull)
     WarpScheduler sched(SchedKind::LRR, 0);
     sched.addWarp(old_cta.warps()[0].get());
     EXPECT_EQ(sched.pick([](Warp *) { return false; }), nullptr);
+}
+
+TEST_F(SchedulerFixture, GtoKeepsAgeOrderWhenAnOldCtaResumes)
+{
+    // A CTA resumed after younger ones were (re)scheduled must still
+    // rank by its launch sequence, not by when it rejoined.
+    Cta mid_cta(2, 2, ctx);
+    Cta young_cta(3, 3, ctx);
+    WarpScheduler sched(SchedKind::GTO, 0);
+    sched.addWarp(young_cta.warps()[1].get());
+    sched.addWarp(new_cta.warps()[0].get());
+    sched.addWarp(young_cta.warps()[0].get());
+    sched.addWarp(mid_cta.warps()[0].get()); // resumes between younger
+    sched.addWarp(old_cta.warps()[1].get()); // the oldest resumes last
+    sched.addWarp(old_cta.warps()[0].get());
+
+    const std::vector<Warp *> expected = {
+        old_cta.warps()[0].get(), old_cta.warps()[1].get(),
+        new_cta.warps()[0].get(), mid_cta.warps()[0].get(),
+        young_cta.warps()[0].get(), young_cta.warps()[1].get()};
+    EXPECT_EQ(sched.warps(), expected);
+
+    // With the old CTA blocked, the next-oldest issuable warp wins.
+    EXPECT_EQ(sched.pick([&](Warp *w) { return w->cta() != &old_cta; }),
+              new_cta.warps()[0].get());
+}
+
+TEST_F(SchedulerFixture, RemovingAWarpTwiceIsANoOp)
+{
+    for (const SchedKind kind : {SchedKind::GTO, SchedKind::LRR}) {
+        WarpScheduler sched(kind, 0);
+        Warp *a = old_cta.warps()[0].get();
+        Warp *b = old_cta.warps()[1].get();
+        sched.addWarp(a);
+        sched.addWarp(b);
+        sched.removeWarp(a);
+        sched.removeWarp(a);
+        EXPECT_EQ(sched.warps(), std::vector<Warp *>{b});
+        EXPECT_EQ(sched.pick([](Warp *) { return true; }), b);
+        sched.removeWarp(new_cta.warps()[0].get()); // never added
+        EXPECT_EQ(sched.warps(), std::vector<Warp *>{b});
+    }
+}
+
+/**
+ * Test-only reference: the full-scan scheduler the age-ordered one
+ * replaced. GTO evaluates every warp and keeps the oldest issuable one;
+ * LRR is unchanged.
+ */
+class ScanScheduler
+{
+  public:
+    explicit ScanScheduler(SchedKind kind) : kind_(kind) {}
+
+    void addWarp(Warp *warp) { warps_.push_back(warp); }
+
+    void
+    removeWarp(Warp *warp)
+    {
+        warps_.erase(std::remove(warps_.begin(), warps_.end(), warp),
+                     warps_.end());
+        if (greedy_ == warp)
+            greedy_ = nullptr;
+        if (rrIndex_ >= warps_.size())
+            rrIndex_ = 0;
+    }
+
+    template <typename Pred>
+    Warp *
+    pick(Pred &&issuable)
+    {
+        if (warps_.empty())
+            return nullptr;
+        if (kind_ == SchedKind::GTO) {
+            if (greedy_ && issuable(greedy_))
+                return greedy_;
+            Warp *best = nullptr;
+            for (Warp *w : warps_) {
+                if (!issuable(w))
+                    continue;
+                if (!best || olderThan(w, best))
+                    best = w;
+            }
+            greedy_ = best ? best : greedy_;
+            return best;
+        }
+        const std::size_t n = warps_.size();
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::size_t i = (rrIndex_ + 1 + k) % n;
+            if (issuable(warps_[i])) {
+                rrIndex_ = i;
+                return warps_[i];
+            }
+        }
+        return nullptr;
+    }
+
+  private:
+    static bool
+    olderThan(const Warp *a, const Warp *b)
+    {
+        const unsigned sa = a->cta()->launchSeq();
+        const unsigned sb = b->cta()->launchSeq();
+        if (sa != sb)
+            return sa < sb;
+        return a->id() < b->id();
+    }
+
+    SchedKind kind_;
+    std::vector<Warp *> warps_;
+    Warp *greedy_ = nullptr;
+    std::size_t rrIndex_ = 0;
+};
+
+TEST(WarpSchedulerProperty, PicksMatchTheFullScanReference)
+{
+    KernelBuilder b("sched_property");
+    b.regsPerThread(8).threadsPerCta(256); // 8 warps per CTA
+    b.newBlock();
+    b.exit();
+    const auto kernel = b.finalize();
+    KernelContext ctx(*kernel);
+    std::vector<std::unique_ptr<Cta>> ctas;
+    std::vector<Warp *> pool;
+    for (unsigned c = 0; c < 6; ++c) {
+        // Launch sequences out of grid order, like resumed CTAs.
+        ctas.push_back(std::make_unique<Cta>(c, (c * 5) % 6, ctx));
+        for (auto &warp : ctas.back()->warps())
+            pool.push_back(warp.get());
+    }
+
+    for (const SchedKind kind : {SchedKind::GTO, SchedKind::LRR}) {
+        for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+            Rng rng(seed);
+            WarpScheduler sched(kind, 0);
+            ScanScheduler ref(kind);
+            std::vector<bool> in(pool.size(), false);
+            for (unsigned step = 0; step < 400; ++step) {
+                const std::size_t w = rng.below(pool.size());
+                const unsigned op = static_cast<unsigned>(rng.below(10));
+                if (op < 2) {
+                    if (!in[w]) {
+                        sched.addWarp(pool[w]);
+                        ref.addWarp(pool[w]);
+                        in[w] = true;
+                    }
+                } else if (op < 3) {
+                    // Also removes warps that are not scheduled.
+                    sched.removeWarp(pool[w]);
+                    ref.removeWarp(pool[w]);
+                    in[w] = false;
+                } else {
+                    const double p = rng.uniform();
+                    std::vector<bool> ready(pool.size());
+                    for (std::size_t i = 0; i < pool.size(); ++i)
+                        ready[i] = rng.chance(p);
+                    auto issuable = [&](Warp *warp) {
+                        const auto it =
+                            std::find(pool.begin(), pool.end(), warp);
+                        return bool(ready[it - pool.begin()]);
+                    };
+                    ASSERT_EQ(sched.pick(issuable), ref.pick(issuable))
+                        << (kind == SchedKind::GTO ? "GTO" : "LRR")
+                        << " seed " << seed << " step " << step;
+                }
+            }
+        }
+    }
 }
 
 } // namespace
