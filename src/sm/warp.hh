@@ -101,7 +101,7 @@ class Warp
      * Issue-path wake hint: the SM's issue check found this warp blocked
      * until this cycle for a reason only setEarliestIssue() can lift
      * sooner (issue shadow, scoreboard, barrier; kNoCycle = until woken).
-     * The scheduler skips the warp while the hint lies in the future.
+     * The issue check skips the warp while the hint lies in the future.
      * 0 = no hint: evaluate the warp in full.
      */
     Cycle wakeHint() const { return wakeHint_; }
