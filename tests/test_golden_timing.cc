@@ -2,7 +2,7 @@
  * @file
  * Golden timing table: exact cycles, instructions, DRAM bytes and issue
  * counts of every Table II workload under both warp schedulers (GTO, LRR)
- * and two policies (Baseline, FineReg), pinned in tests/golden/timing.golden.
+ * and all five policies, pinned in tests/golden/timing.golden.
  *
  * The end-state fingerprints in GoldenEndState cannot see scheduling: warp
  * RNG streams are seeded from the grid CTA id, so any issue order yields
@@ -111,7 +111,9 @@ TEST(GoldenTiming, EveryCellMatchesTheTable)
         const auto kernel = Suite::makeKernel(entry, kScale);
         for (const SchedKind sched : {SchedKind::GTO, SchedKind::LRR}) {
             for (const PolicyKind policy :
-                 {PolicyKind::Baseline, PolicyKind::FineReg}) {
+                 {PolicyKind::Baseline, PolicyKind::FineReg,
+                  PolicyKind::VirtualThread, PolicyKind::RegDram,
+                  PolicyKind::RegMutex}) {
                 const std::string key = entry.abbrev + " " +
                                         schedName(sched) + " " +
                                         policyKindName(policy);
