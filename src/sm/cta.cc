@@ -111,7 +111,10 @@ Cta::rescanStall(Cycle now) const
 Cycle
 Cta::estimateReadyCycle(Cycle now) const
 {
-    std::vector<Cycle> wake;
+    // Reused per thread: every eviction calls this, so it must not
+    // allocate. Sweep workers each get their own buffer.
+    thread_local std::vector<Cycle> wake;
+    wake.clear();
     for (const auto &warp : warps_) {
         if (warp->finished() || warp->atBarrier())
             continue;
@@ -119,9 +122,11 @@ Cta::estimateReadyCycle(Cycle now) const
     }
     if (wake.empty())
         return now;
-    std::sort(wake.begin(), wake.end());
-    // Ready when half the blocked warps can run again.
-    return wake[(wake.size() - 1) / 2];
+    // Ready when half the blocked warps can run again: the lower median,
+    // the value a full sort would put at this index.
+    const auto median = wake.begin() + (wake.size() - 1) / 2;
+    std::nth_element(wake.begin(), median, wake.end());
+    return *median;
 }
 
 Cycle

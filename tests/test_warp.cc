@@ -23,10 +23,10 @@ namespace
 {
 
 std::unique_ptr<Kernel>
-makeSimpleKernel()
+makeSimpleKernel(unsigned threads = 64)
 {
     KernelBuilder b("warp_test");
-    b.regsPerThread(8).threadsPerCta(64);
+    b.regsPerThread(8).threadsPerCta(threads);
     b.newBlock();
     b.alu(Opcode::IADD, 0, 1);
     b.alu(Opcode::IADD, 1, 0);
@@ -166,6 +166,33 @@ TEST(Cta, EstimateReadyCycleIsMedianWake)
     cta.warps()[1]->scoreboard().recordWrite(1, 1000, true);
     // With two warps, ready at the first (index (2-1)/2 = 0) wake.
     EXPECT_EQ(cta.estimateReadyCycle(10), 400u);
+}
+
+TEST(Cta, EstimateReadyCycleIsLowerMedianForOddAndEvenCounts)
+{
+    // Wakes are recorded out of order, so the median needs selecting.
+    const auto odd_kernel = makeSimpleKernel(5 * kWarpSize);
+    KernelContext odd_ctx(*odd_kernel);
+    Cta odd(0, 0, odd_ctx);
+    const Cycle odd_wakes[] = {700, 300, 900, 100, 500};
+    for (unsigned w = 0; w < 5; ++w)
+        odd.warps()[w]->scoreboard().recordWrite(1, odd_wakes[w], true);
+    EXPECT_EQ(odd.estimateReadyCycle(10), 500u); // index (5-1)/2 = 2
+
+    const auto even_kernel = makeSimpleKernel(4 * kWarpSize);
+    KernelContext even_ctx(*even_kernel);
+    Cta even(1, 1, even_ctx);
+    const Cycle even_wakes[] = {900, 200, 600, 400};
+    for (unsigned w = 0; w < 4; ++w)
+        even.warps()[w]->scoreboard().recordWrite(1, even_wakes[w], true);
+    EXPECT_EQ(even.estimateReadyCycle(10), 400u); // index (4-1)/2 = 1
+
+    // A warp with nothing outstanding counts as ready now. Repeat calls
+    // see no values left over from earlier ones.
+    even.warps()[3]->scoreboard().clear();
+    EXPECT_EQ(even.estimateReadyCycle(10), 200u); // {10, 200, 600, 900}
+    EXPECT_EQ(odd.estimateReadyCycle(10), 500u);
+    EXPECT_EQ(odd.estimateReadyCycle(650), 650u); // {650 x3, 700, 900}
 }
 
 TEST(Cta, ExecutionEpisodeLifecycle)
