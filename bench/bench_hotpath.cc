@@ -2,8 +2,8 @@
  * @file
  * Microbenchmarks for the simulator's host-side hot paths (DESIGN.md §14):
  * PCRF chain store/restore through the arena-style free-space monitor,
- * 64-bit RegBitVec word operations, EventWheel push/pop traffic, and the
- * warp scheduler's issue pick.
+ * 64-bit RegBitVec word operations, EventWheel push/pop traffic, the
+ * warp scheduler's issue pick, and a FineReg tick with no switch partner.
  * Unlike the per-figure bench binaries these are direct google-benchmark
  * loops over the data structures, not full simulator runs — they track
  * constant-factor regressions in the structures the run loop leans on.
@@ -21,6 +21,7 @@
 #include "isa/kernel_builder.hh"
 #include "regfile/pcrf.hh"
 #include "sm/cta.hh"
+#include "sm/gpu.hh"
 #include "sm/warp_scheduler.hh"
 
 using namespace finereg;
@@ -214,6 +215,52 @@ BM_WarpSchedulerPick(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WarpSchedulerPick)->Arg(2)->Arg(14);
+
+/**
+ * FineReg policy tick on one SM whose eight active CTAs are all stalled
+ * on a global load, with no grid work left and no pending CTA: the
+ * partner test fails, so the tick skips the scan for stalled CTAs.
+ */
+void
+BM_SwitchGateNoPartner(benchmark::State &state)
+{
+    KernelBuilder b("gate");
+    b.regsPerThread(8).threadsPerCta(64).gridCtas(8);
+    MemPattern stream;
+    stream.footprint = 64ull << 20;
+    b.newBlock();
+    b.load(Opcode::LD_GLOBAL, 2, 0, stream);
+    b.alu(Opcode::FADD, 3, 2, 0); // stalls on the load
+    b.exit();
+    const auto kernel = b.finalize();
+    GpuConfig config = GpuConfig::gtx980();
+    config.numSms = 1;
+    config.policy.kind = PolicyKind::FineReg;
+    Gpu gpu(config, *kernel);
+    Sm &sm = *gpu.sms().front();
+    Policy &policy = gpu.policy();
+
+    // Each tick launches up to two grid CTAs; launch all before any runs.
+    while (gpu.dispatcher().hasWork())
+        policy.tick(sm, 0);
+    const auto all_stalled = [&](Cycle now) {
+        for (Cta *cta : sm.activeCtaList()) {
+            if (!cta->fullyStalledOnMemory(now))
+                return false;
+        }
+        return true;
+    };
+    Cycle now = 0;
+    while (!all_stalled(now))
+        sm.tick(now++);
+    if (sm.activeCtaList().size() != 8)
+        state.SkipWithError("expected eight stalled active CTAs");
+
+    for (auto _ : state)
+        policy.tick(sm, now);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SwitchGateNoPartner);
 
 } // namespace
 

@@ -184,27 +184,48 @@ FineRegPolicy::fillActiveSlots(Sm &sm, Cycle now)
     }
 }
 
+Policy::SwitchPartner
+FineRegPolicy::findPartner(Sm &sm, Cycle now) const
+{
+    const Kernel &kernel = sm.context().kernel();
+    SwitchPartner partner;
+    partner.canGrow = dispatcher().hasWork() &&
+                      sm.shmemFree() >= kernel.shmemPerCta() &&
+                      sm.hasResidencyHeadroom() && !pendingSaturated(sm);
+    partner.readyPending = bestPendingCta(sm, now);
+    return partner;
+}
+
 void
 FineRegPolicy::switchStalledCtas(Sm &sm, Cycle now)
 {
     SmState &st = state(sm);
     const Kernel &kernel = sm.context().kernel();
     const unsigned warp_regs = kernel.warpRegsPerCta();
+    const auto would_switch = [&](Cta &) {
+        return static_cast<bool>(findPartner(sm, now));
+    };
 
+    // Partner first: without one no stalled CTA can leave, so skip the
+    // scan for them.
+    if (!findPartner(sm, now)) {
+        noPartner_->inc();
+        checkNoSwitchMissed(sm, now, would_switch);
+        return;
+    }
     const std::vector<Cta *> &stalled = collectStalledCtas(sm, now);
     stalledFound_->inc(stalled.size());
 
     for (Cta *cta : stalled) {
-        const bool pending_saturated = pendingSaturated(sm);
-        const bool can_grow = dispatcher().hasWork() &&
-                              sm.shmemFree() >= kernel.shmemPerCta() &&
-                              sm.hasResidencyHeadroom() &&
-                              !pending_saturated;
-        Cta *ready_pending = bestPendingCta(sm, now);
-        if (!can_grow && !ready_pending) {
+        // A failed test changes no state, so it fails for every later
+        // CTA too.
+        const SwitchPartner partner = findPartner(sm, now);
+        if (!partner) {
             noPartner_->inc();
-            continue;
+            checkNoSwitchMissed(sm, now, would_switch);
+            break;
         }
+        Cta *ready_pending = partner.readyPending;
 
         const Rmu::Gather &gather = st.rmu->gatherLiveRegs(*cta, now);
         const unsigned n_live = gather.totalRegs;

@@ -95,6 +95,10 @@ class FineRegPolicy : public Policy
 
     Cta *bestPendingCta(Sm &sm, Cycle at_most) const;
 
+    /** Partner test: a fresh grid CTA can grow the resident set, or a
+     * pending CTA is ready to resume. */
+    SwitchPartner findPartner(Sm &sm, Cycle now) const;
+
     /** Restore a pending CTA into the ACRF (allocates full set). */
     void restoreCta(Sm &sm, Cta &cta, Cycle now, Cycle extra_latency);
 
@@ -116,7 +120,9 @@ class FineRegPolicy : public Policy
     mutable std::vector<std::unique_ptr<SmState>> states_;
 
     /** Per-tick counters, cached at bind so the hot path skips the
-     * name-keyed stats lookup. */
+     * name-keyed stats lookup. stalledFound_ counts the stalled CTAs the
+     * scan examined; noPartner_ counts SM-ticks whose partner test
+     * failed, before or during the scan. */
     Counter *stalledFound_ = nullptr;
     Counter *noPartner_ = nullptr;
 };

@@ -77,6 +77,13 @@ Policy::collectStalledCtas(Sm &sm, Cycle now) const
     return stalled;
 }
 
+void
+Policy::panicMissedSwitch(const Sm &sm, const Cta &cta, Cycle now) const
+{
+    FINEREG_PANIC(name(), ": no partner on SM ", sm.id(), " at cycle ", now,
+                  ", yet stalled CTA ", cta.gridId(), " would switch");
+}
+
 bool
 Policy::rfDepletionBlocked(const Sm &, Cycle) const
 {

@@ -93,11 +93,49 @@ class Policy
      * cycle (Sec. IV-A's switch candidates). Memoizes each CTA's
      * stalled-until horizon so warps are not rescanned every cycle.
      * Returns a reference to an internal scratch vector, valid until the
-     * next call (one caller per policy tick).
+     * next call.
      */
     const std::vector<Cta *> &collectStalledCtas(Sm &sm, Cycle now) const;
 
+    /**
+     * What could take a fully stalled CTA's place (Sec. IV-A): a fresh
+     * grid CTA, or the soonest-ready pending CTA. Neither depends on
+     * which CTA stalled, so switching policies test for a partner once
+     * per tick before scanning for stalled CTAs (DESIGN.md §14).
+     */
+    struct SwitchPartner
+    {
+        bool canGrow = false;        ///< a fresh grid CTA may launch
+        Cta *readyPending = nullptr; ///< soonest ready pending CTA
+        explicit operator bool() const { return canGrow || readyPending; }
+    };
+
+    /**
+     * Debug builds only: the partner test just failed on @p sm, so no
+     * stalled CTA may pass the full per-CTA switch test @p would_switch
+     * (called as would_switch(Cta &)). Collects the stalled CTAs the
+     * gate skipped and panics on the first that would have switched.
+     */
+    template <typename WouldSwitch>
+    void
+    checkNoSwitchMissed(Sm &sm, Cycle now, WouldSwitch &&would_switch) const
+    {
+#ifndef NDEBUG
+        for (Cta *cta : collectStalledCtas(sm, now)) {
+            if (would_switch(*cta))
+                panicMissedSwitch(sm, *cta, now);
+        }
+#else
+        (void)sm;
+        (void)now;
+        (void)would_switch;
+#endif
+    }
+
   private:
+    [[noreturn]] void panicMissedSwitch(const Sm &sm, const Cta &cta,
+                                        Cycle now) const;
+
     Gpu *gpu_ = nullptr;
 
     /** Cached at bind(): the dispatcher is looked up once, not per tick. */

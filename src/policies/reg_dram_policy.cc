@@ -123,6 +123,42 @@ RegDramPolicy::fillSlotsWithDramTier(Sm &sm, Cycle now)
     }
 }
 
+Cycle
+RegDramPolicy::contextCycles(const Sm &sm) const
+{
+    return static_cast<Cycle>(contextBytes(sm) /
+                              config().mem.dram.bytesPerCycle);
+}
+
+RegDramPolicy::DramPartner
+RegDramPolicy::findDramPartner(Sm &sm, Cycle now) const
+{
+    const DramState &ds = dram(sm);
+    // The paper tunes the DRAM-pending count per application (Sec. VI-A).
+    // For very large contexts the best setting is zero — the transfer
+    // cost can never be recovered — which reduces this scheme to VT.
+    const unsigned dram_cap =
+        contextBytes(sm) > 16 * 1024 ? 0
+                                     : config().policy.maxDramPendingCtas;
+    DramPartner partner;
+    partner.onChip = findPartner(sm, now);
+    partner.dramTier = ds.inDram.size() < dram_cap && !pendingSaturated(sm) &&
+                       now >= ds.nextDemoteAllowed &&
+                       sm.hasResidencyHeadroom() &&
+                       (dispatcher().hasWork() ||
+                        bestDramPendingCta(sm, now) != nullptr);
+    return partner;
+}
+
+bool
+RegDramPolicy::worthDemoting(const Sm &sm, Cycle ready_estimate,
+                             Cycle now) const
+{
+    const Cycle profit_threshold =
+        config().mem.dram.accessLatency / 2 + 4 * contextCycles(sm);
+    return ready_estimate > now + profit_threshold;
+}
+
 void
 RegDramPolicy::switchStalledWithDramTier(Sm &sm, Cycle now)
 {
@@ -130,22 +166,29 @@ RegDramPolicy::switchStalledWithDramTier(Sm &sm, Cycle now)
     DramState &ds = dram(sm);
     const Kernel &kernel = sm.context().kernel();
     const unsigned warp_regs = kernel.warpRegsPerCta();
-    // The paper tunes the DRAM-pending count per application (Sec. VI-A).
-    // For very large contexts the best setting is zero — the transfer
-    // cost can never be recovered — which reduces this scheme to VT.
-    const unsigned dram_cap =
-        contextBytes(sm) > 16 * 1024 ? 0
-                                     : config().policy.maxDramPendingCtas;
+    const auto would_switch = [&](Cta &cta) {
+        const DramPartner partner = findDramPartner(sm, now);
+        return static_cast<bool>(partner.onChip) ||
+               (partner.dramTier &&
+                worthDemoting(sm, cta.estimateReadyCycle(now), now));
+    };
 
-    const std::vector<Cta *> &stalled = collectStalledCtas(sm, now);
-
-    for (Cta *cta : stalled) {
-        const bool pending_saturated = pendingSaturated(sm);
+    // Partner first: without one no stalled CTA can leave, so skip the
+    // scan for them.
+    if (!findDramPartner(sm, now)) {
+        checkNoSwitchMissed(sm, now, would_switch);
+        return;
+    }
+    for (Cta *cta : collectStalledCtas(sm, now)) {
+        // A failed test changes no state, so it fails for every later
+        // CTA too.
+        const DramPartner partner = findDramPartner(sm, now);
+        if (!partner) {
+            checkNoSwitchMissed(sm, now, would_switch);
+            break;
+        }
         // (a) VT-style growth inside the register file.
-        if (!pending_saturated && dispatcher().hasWork() &&
-            st.rf->canAllocate(warp_regs) &&
-            sm.shmemFree() >= kernel.shmemPerCta() &&
-            sm.hasResidencyHeadroom()) {
+        if (partner.onChip.canGrow) {
             st.pendingReady.set(cta->gridId(), cta->estimateReadyCycle(now));
             sm.suspendCta(*cta, now);
             Cta *fresh = sm.launchCta(dispatcher().pop(), now);
@@ -155,7 +198,7 @@ RegDramPolicy::switchStalledWithDramTier(Sm &sm, Cycle now)
             continue;
         }
         // (b) Swap with a ready on-chip pending CTA.
-        if (Cta *ready = bestPendingCta(sm, now)) {
+        if (Cta *ready = partner.onChip.readyPending) {
             st.pendingReady.set(cta->gridId(), cta->estimateReadyCycle(now));
             sm.suspendCta(*cta, now);
             st.pendingReady.erase(ready->gridId());
@@ -168,36 +211,27 @@ RegDramPolicy::switchStalledWithDramTier(Sm &sm, Cycle now)
         //     round-trip of the full register context through the DRAM
         //     channel — otherwise the context traffic melts the channel
         //     (the effect Fig. 15 charges this scheme for).
+        //     The partner test passed on the DRAM tier alone, so only
+        //     the stall length is left to check.
         const Cycle ready_estimate = cta->estimateReadyCycle(now);
-        const auto ctx_cycles = static_cast<Cycle>(
-            contextBytes(sm) / config().mem.dram.bytesPerCycle);
-        const Cycle profit_threshold =
-            config().mem.dram.accessLatency / 2 + 4 * ctx_cycles;
-        const bool dram_room =
-            ds.inDram.size() < dram_cap && !pending_saturated &&
-            ready_estimate > now + profit_threshold &&
-            now >= ds.nextDemoteAllowed;
-        if (dram_room && sm.hasResidencyHeadroom() &&
-            (dispatcher().hasWork() ||
-             bestDramPendingCta(sm, now) != nullptr)) {
-            st.pendingReady.set(cta->gridId(), ready_estimate);
-            sm.suspendCta(*cta, now);
-            demoteToDram(sm, *cta, now);
-            // Budget context movement to ~8% of channel bandwidth: a
-            // demote+promote pair moves 2x the context, across all SMs.
-            ds.nextDemoteAllowed =
-                now + 2 * ctx_cycles * gpu().config().numSms * 12;
+        if (!worthDemoting(sm, ready_estimate, now))
+            continue;
+        st.pendingReady.set(cta->gridId(), ready_estimate);
+        sm.suspendCta(*cta, now);
+        demoteToDram(sm, *cta, now);
+        // Budget context movement to ~8% of channel bandwidth: a
+        // demote+promote pair moves 2x the context, across all SMs.
+        ds.nextDemoteAllowed =
+            now + 2 * contextCycles(sm) * gpu().config().numSms * 12;
 
-            if (Cta *dram_ready = bestDramPendingCta(sm, now)) {
-                promoteFromDram(sm, *dram_ready, now);
-            } else if (dispatcher().hasWork() &&
-                       st.rf->canAllocate(warp_regs) &&
-                       sm.shmemFree() >= kernel.shmemPerCta()) {
-                Cta *fresh = sm.launchCta(dispatcher().pop(), now);
-                fresh->regAllocHandle = st.rf->allocate(warp_regs);
-                for (auto &warp : fresh->warps())
-                    warp->setEarliestIssue(now + switchLatency());
-            }
+        if (Cta *dram_ready = bestDramPendingCta(sm, now)) {
+            promoteFromDram(sm, *dram_ready, now);
+        } else if (dispatcher().hasWork() && st.rf->canAllocate(warp_regs) &&
+                   sm.shmemFree() >= kernel.shmemPerCta()) {
+            Cta *fresh = sm.launchCta(dispatcher().pop(), now);
+            fresh->regAllocHandle = st.rf->allocate(warp_regs);
+            for (auto &warp : fresh->warps())
+                warp->setEarliestIssue(now + switchLatency());
         }
     }
 }

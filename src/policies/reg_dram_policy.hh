@@ -57,6 +57,23 @@ class RegDramPolicy : public VirtualThreadPolicy
 
     Cta *bestDramPendingCta(Sm &sm, Cycle at_most) const;
 
+    /** Cycles the DRAM channel needs to move one CTA's full context. */
+    Cycle contextCycles(const Sm &sm) const;
+
+    /** Partner test: Virtual Thread's, or room to demote a stalled CTA
+     * to the DRAM tier for a fresh or ready DRAM-tier CTA. */
+    struct DramPartner
+    {
+        SwitchPartner onChip;
+        bool dramTier = false; ///< test (c) passes but for the stall length
+        explicit operator bool() const { return onChip || dramTier; }
+    };
+    DramPartner findDramPartner(Sm &sm, Cycle now) const;
+
+    /** The per-CTA half of test (c): the stall, ending at
+     * @p ready_estimate, outlasts the context round trip. */
+    bool worthDemoting(const Sm &sm, Cycle ready_estimate, Cycle now) const;
+
     void fillSlotsWithDramTier(Sm &sm, Cycle now);
     void switchStalledWithDramTier(Sm &sm, Cycle now);
 

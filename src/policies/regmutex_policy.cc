@@ -187,6 +187,21 @@ RegMutexPolicy::fillActiveSlots(Sm &sm, Cycle now)
     }
 }
 
+Policy::SwitchPartner
+RegMutexPolicy::findPartner(Sm &sm, Cycle now) const
+{
+    const Kernel &kernel = sm.context().kernel();
+    const unsigned brs_warp_regs =
+        brsRegsPerThread(sm) * kernel.warpsPerCta();
+    SwitchPartner partner;
+    partner.canGrow = dispatcher().hasWork() &&
+                      state(sm).brsPool->canAllocate(brs_warp_regs) &&
+                      sm.shmemFree() >= kernel.shmemPerCta() &&
+                      sm.hasResidencyHeadroom() && !pendingSaturated(sm);
+    partner.readyPending = bestPendingCta(sm, now);
+    return partner;
+}
+
 void
 RegMutexPolicy::switchStalledCtas(Sm &sm, Cycle now)
 {
@@ -195,19 +210,24 @@ RegMutexPolicy::switchStalledCtas(Sm &sm, Cycle now)
     const unsigned brs_warp_regs =
         brsRegsPerThread(sm) * kernel.warpsPerCta();
     const unsigned ext_regs = extendedWarpRegsPerCta(sm);
+    const auto would_switch = [&](Cta &) {
+        return static_cast<bool>(findPartner(sm, now));
+    };
 
-    const std::vector<Cta *> &stalled = collectStalledCtas(sm, now);
-
-    for (Cta *cta : stalled) {
-        const bool pending_saturated = pendingSaturated(sm);
-        const bool can_grow = dispatcher().hasWork() &&
-                              st.brsPool->canAllocate(brs_warp_regs) &&
-                              sm.shmemFree() >= kernel.shmemPerCta() &&
-                              sm.hasResidencyHeadroom() &&
-                              !pending_saturated;
-        Cta *ready_pending = bestPendingCta(sm, now);
-        if (!can_grow && !ready_pending)
-            continue;
+    // Partner first: without one no stalled CTA can leave, so skip the
+    // scan for them.
+    if (!findPartner(sm, now)) {
+        checkNoSwitchMissed(sm, now, would_switch);
+        return;
+    }
+    for (Cta *cta : collectStalledCtas(sm, now)) {
+        // A failed test changes no state, so it fails for every later
+        // CTA too.
+        const SwitchPartner partner = findPartner(sm, now);
+        if (!partner) {
+            checkNoSwitchMissed(sm, now, would_switch);
+            break;
+        }
 
         // RegMutex does NOT release SRP held by live extended registers
         // when a CTA stalls; only the dead portion returns to the pool.
@@ -236,7 +256,8 @@ RegMutexPolicy::switchStalledCtas(Sm &sm, Cycle now)
         sm.suspendCta(*cta, now);
         setSrpHolding(st, cta->gridId(), keep);
 
-        if (can_grow && st.srpPool->canAllocate(ext_regs)) {
+        Cta *ready_pending = partner.readyPending;
+        if (partner.canGrow && st.srpPool->canAllocate(ext_regs)) {
             Cta *fresh = sm.launchCta(dispatcher().pop(), now);
             fresh->regAllocHandle = st.brsPool->allocate(brs_warp_regs);
             setSrpHolding(st, fresh->gridId(), ext_regs);
@@ -246,7 +267,7 @@ RegMutexPolicy::switchStalledCtas(Sm &sm, Cycle now)
                    setSrpHolding(st, ready_pending->gridId(), ext_regs)) {
             st.pendingReady.erase(ready_pending->gridId());
             sm.resumeCta(*ready_pending, now, switchLatency());
-        } else if (can_grow || ready_pending) {
+        } else {
             st.srpBlocked = true; // work existed; SRP said no
         }
     }

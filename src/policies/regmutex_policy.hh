@@ -78,6 +78,10 @@ class RegMutexPolicy : public Policy
     unsigned liveExtendedRegs(const Sm &sm, const Cta &cta) const;
 
     Cta *bestPendingCta(Sm &sm, Cycle at_most) const;
+
+    /** Partner test: a fresh grid CTA fits the BRS pool, or a pending
+     * CTA is ready to resume. */
+    SwitchPartner findPartner(Sm &sm, Cycle now) const;
     void fillActiveSlots(Sm &sm, Cycle now);
     void switchStalledCtas(Sm &sm, Cycle now);
 

@@ -91,42 +91,59 @@ VirtualThreadPolicy::fillActiveSlots(Sm &sm, Cycle now)
     }
 }
 
+Policy::SwitchPartner
+VirtualThreadPolicy::findPartner(Sm &sm, Cycle now) const
+{
+    const Kernel &kernel = sm.context().kernel();
+    // Growing the resident set: a brand-new CTA takes over the slot while
+    // the stalled one keeps its registers and waits. Growth is dampened
+    // once enough pending CTAs exist to hide stalls.
+    SwitchPartner partner;
+    partner.canGrow = dispatcher().hasWork() &&
+                      state(sm).rf->canAllocate(kernel.warpRegsPerCta()) &&
+                      sm.shmemFree() >= kernel.shmemPerCta() &&
+                      sm.hasResidencyHeadroom() && !pendingSaturated(sm);
+    partner.readyPending = bestPendingCta(sm, now);
+    return partner;
+}
+
 void
 VirtualThreadPolicy::switchStalledCtas(Sm &sm, Cycle now)
 {
     SmState &st = state(sm);
-    const Kernel &kernel = sm.context().kernel();
-    const unsigned warp_regs = kernel.warpRegsPerCta();
+    const unsigned warp_regs = sm.context().kernel().warpRegsPerCta();
+    const auto would_switch = [&](Cta &) {
+        return static_cast<bool>(findPartner(sm, now));
+    };
 
+    // Partner first: without one no stalled CTA can leave, so skip the
+    // scan for them.
+    if (!findPartner(sm, now)) {
+        checkNoSwitchMissed(sm, now, would_switch);
+        return;
+    }
     // Candidates: active CTAs that issued nothing this cycle and whose
     // warps are all blocked on global memory.
-    const std::vector<Cta *> &stalled = collectStalledCtas(sm, now);
-
-    for (Cta *cta : stalled) {
-        // Growing the resident set: a brand-new CTA takes over the slot
-        // while the stalled one keeps its registers and waits. Growth is
-        // dampened once enough pending CTAs exist to hide stalls.
-        const bool pending_saturated = pendingSaturated(sm);
-        const bool can_grow = dispatcher().hasWork() &&
-                              st.rf->canAllocate(warp_regs) &&
-                              sm.shmemFree() >= kernel.shmemPerCta() &&
-                              sm.hasResidencyHeadroom() &&
-                              !pending_saturated;
-        Cta *ready_pending = bestPendingCta(sm, now);
-        if (!can_grow && !ready_pending)
-            continue;
+    for (Cta *cta : collectStalledCtas(sm, now)) {
+        // A failed test changes no state, so it fails for every later
+        // CTA too.
+        const SwitchPartner partner = findPartner(sm, now);
+        if (!partner) {
+            checkNoSwitchMissed(sm, now, would_switch);
+            break;
+        }
 
         st.pendingReady.set(cta->gridId(), cta->estimateReadyCycle(now));
         sm.suspendCta(*cta, now);
 
-        if (can_grow) {
+        if (partner.canGrow) {
             Cta *fresh = sm.launchCta(dispatcher().pop(), now);
             fresh->regAllocHandle = st.rf->allocate(warp_regs);
             for (auto &warp : fresh->warps())
                 warp->setEarliestIssue(now + switchLatency());
         } else {
-            st.pendingReady.erase(ready_pending->gridId());
-            sm.resumeCta(*ready_pending, now, switchLatency());
+            st.pendingReady.erase(partner.readyPending->gridId());
+            sm.resumeCta(*partner.readyPending, now, switchLatency());
         }
     }
 }

@@ -64,6 +64,10 @@ class VirtualThreadPolicy : public Policy
      * returns nullptr when none qualify. */
     Cta *bestPendingCta(Sm &sm, Cycle at_most) const;
 
+    /** Partner test: a fresh grid CTA fits the register file, or a
+     * pending CTA is ready to resume. Reg+DRAM's on-chip half. */
+    SwitchPartner findPartner(Sm &sm, Cycle now) const;
+
     /** Detect fully stalled active CTAs and switch them out. */
     void switchStalledCtas(Sm &sm, Cycle now);
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "isa/kernel_builder.hh"
@@ -158,42 +159,17 @@ TEST(FineRegPolicyTest, PcrfHoldsPendingLiveRegisters)
                   0u); // every stored CTA is eventually restored
 }
 
-/**
- * Wraps a policy and plants a stale wake hint on the warps of every
- * pending CTA before each tick. A restore — resumeCta plus FineReg's
- * per-warp PCRF chain wake — must clear it, or the restored warps would
- * be skipped forever.
- */
-class StaleHintPolicy final : public Policy
+/** Forwards every hook to a wrapped policy; subclasses observe ticks. */
+class ForwardingPolicy : public Policy
 {
   public:
-    explicit StaleHintPolicy(std::unique_ptr<Policy> inner)
+    explicit ForwardingPolicy(std::unique_ptr<Policy> inner)
         : inner_(std::move(inner))
     {}
 
     const char *name() const override { return inner_->name(); }
 
-    void
-    tick(Sm &sm, Cycle now) override
-    {
-        const std::vector<Cta *> pending = sm.pendingCtaList();
-        for (Cta *cta : pending) {
-            for (auto &warp : cta->warps())
-                warp->setWakeHint(kNoCycle);
-        }
-        inner_->tick(sm, now);
-        for (Cta *cta : pending) {
-            if (cta->state() != CtaState::Active)
-                continue;
-            ++restores;
-            for (auto &warp : cta->warps()) {
-                if (warp->finished())
-                    continue;
-                EXPECT_EQ(warp->wakeHint(), 0u);
-                wakeOffsets.insert(warp->earliestIssue() - now);
-            }
-        }
-    }
+    void tick(Sm &sm, Cycle now) override { inner_->tick(sm, now); }
 
     void
     onCtaFinished(Sm &sm, Cta &cta, Cycle now) override
@@ -225,14 +201,47 @@ class StaleHintPolicy final : public Policy
         inner_->audit(sm, now);
     }
 
-    unsigned restores = 0;
-    std::set<Cycle> wakeOffsets; ///< earliestIssue - now after a restore.
-
   protected:
     void onBind() override { inner_->bind(gpu()); }
 
   private:
     std::unique_ptr<Policy> inner_;
+};
+
+/**
+ * Plants a stale wake hint on the warps of every pending CTA before each
+ * tick. A restore — resumeCta plus FineReg's per-warp PCRF chain wake —
+ * must clear it, or the restored warps would be skipped forever.
+ */
+class StaleHintPolicy final : public ForwardingPolicy
+{
+  public:
+    using ForwardingPolicy::ForwardingPolicy;
+
+    void
+    tick(Sm &sm, Cycle now) override
+    {
+        const std::vector<Cta *> pending = sm.pendingCtaList();
+        for (Cta *cta : pending) {
+            for (auto &warp : cta->warps())
+                warp->setWakeHint(kNoCycle);
+        }
+        ForwardingPolicy::tick(sm, now);
+        for (Cta *cta : pending) {
+            if (cta->state() != CtaState::Active)
+                continue;
+            ++restores;
+            for (auto &warp : cta->warps()) {
+                if (warp->finished())
+                    continue;
+                EXPECT_EQ(warp->wakeHint(), 0u);
+                wakeOffsets.insert(warp->earliestIssue() - now);
+            }
+        }
+    }
+
+    unsigned restores = 0;
+    std::set<Cycle> wakeOffsets; ///< earliestIssue - now after a restore.
 };
 
 TEST(FineRegPolicyTest, RestoreChainWakeClearsStaleWakeHints)
@@ -252,6 +261,170 @@ TEST(FineRegPolicyTest, RestoreChainWakeClearsStaleWakeHints)
     EXPECT_GT(stale.wakeOffsets.size(), 1u);
     EXPECT_EQ(result.cycles, expected.cycles);
     EXPECT_EQ(result.instructions, expected.instructions);
+}
+
+/**
+ * One policy tick on an SM with at least one fully stalled active CTA,
+ * recorded with the state the tick started from.
+ */
+struct StallTick
+{
+    Cycle now = 0;
+    /** Every active slot was in use, so the tick's slot fill had nothing
+     * to do and the stall switch saw the state recorded here. */
+    bool slotsFull = false;
+    bool gridWork = false;
+    bool headroom = false;
+    /** Soonest pending-ready estimate (kNoCycle: none). Read from
+     * Cta::policyReadyCycle, which only FineReg keeps. */
+    Cycle earliestReady = kNoCycle;
+    unsigned switchedOut = 0; ///< stalled CTAs no longer Active after
+    unsigned toDram = 0;      ///< of those, ones left with no registers
+};
+
+/** Records a StallTick for every tick that starts with a stalled CTA. */
+class SwitchProbe final : public ForwardingPolicy
+{
+  public:
+    using ForwardingPolicy::ForwardingPolicy;
+
+    void
+    tick(Sm &sm, Cycle now) override
+    {
+        stalled_.clear();
+        for (Cta *cta : sm.activeCtaList()) {
+            if (cta->lastIssueCycle() != now &&
+                cta->fullyStalledOnMemory(now))
+                stalled_.push_back(cta);
+        }
+        if (stalled_.empty()) {
+            ForwardingPolicy::tick(sm, now);
+            return;
+        }
+        StallTick t;
+        t.now = now;
+        t.slotsFull = !sm.canActivateCta();
+        t.gridWork = dispatcher().hasWork();
+        t.headroom = sm.hasResidencyHeadroom();
+        for (const Cta *cta : sm.pendingCtaList())
+            t.earliestReady = std::min(t.earliestReady, cta->policyReadyCycle);
+        ForwardingPolicy::tick(sm, now);
+        for (const Cta *cta : stalled_) {
+            if (cta->state() == CtaState::Active)
+                continue;
+            ++t.switchedOut;
+            if (cta->regAllocHandle == kInvalidId)
+                ++t.toDram;
+        }
+        ticks.push_back(t);
+    }
+
+    std::vector<StallTick> ticks;
+
+  private:
+    std::vector<Cta *> stalled_;
+};
+
+/** Run @p kernel under a SwitchProbe, which must not perturb the run. */
+std::vector<StallTick>
+probeStallTicks(const GpuConfig &config, const Kernel &kernel)
+{
+    Gpu plain(config, kernel);
+    const GpuRunResult expected = plain.run();
+
+    auto wrapper = std::make_unique<SwitchProbe>(makePolicy(config));
+    SwitchProbe &probe = *wrapper;
+    Gpu gpu(config, kernel, std::move(wrapper));
+    const GpuRunResult result = gpu.run();
+    EXPECT_FALSE(result.hitCycleLimit);
+    EXPECT_EQ(result.cycles, expected.cycles);
+    EXPECT_EQ(result.instructions, expected.instructions);
+    return std::move(probe.ticks);
+}
+
+/**
+ * FineReg on one SM, ticked every cycle, with four active slots, eight
+ * resident ones and growth never damped. Its partner test then reads:
+ * grid work and residency headroom, or a pending CTA ready by now.
+ */
+GpuConfig
+gateConfig()
+{
+    GpuConfig config = configFor(PolicyKind::FineReg, 1);
+    config.idleSkip = IdleSkipMode::StepEveryCycle;
+    config.sm.maxCtas = 4;
+    config.sm.maxResidentCtas = 8;
+    config.policy.pendingGrowthFactor = 100.0;
+    return config;
+}
+
+TEST(StallSwitchGate, StalledCtaWithoutPartnerStaysActive)
+{
+    const auto kernel = streamingKernel(48);
+    unsigned closed = 0;
+    for (const StallTick &t : probeStallTicks(gateConfig(), *kernel)) {
+        if (!t.slotsFull || t.gridWork || t.earliestReady <= t.now)
+            continue;
+        ++closed;
+        EXPECT_EQ(t.switchedOut, 0u) << "cycle " << t.now;
+    }
+    EXPECT_GT(closed, 0u);
+}
+
+TEST(StallSwitchGate, OpensAtTheEarliestPendingReadyCycle)
+{
+    const auto kernel = streamingKernel(48);
+    unsigned one_early = 0;
+    unsigned on_time = 0;
+    for (const StallTick &t : probeStallTicks(gateConfig(), *kernel)) {
+        if (!t.slotsFull || t.gridWork)
+            continue;
+        if (t.earliestReady == t.now + 1) {
+            ++one_early;
+            EXPECT_EQ(t.switchedOut, 0u) << "cycle " << t.now;
+        } else if (t.earliestReady == t.now) {
+            ++on_time;
+            EXPECT_GT(t.switchedOut, 0u) << "cycle " << t.now;
+        }
+    }
+    EXPECT_GT(one_early, 0u);
+    EXPECT_GT(on_time, 0u);
+}
+
+TEST(StallSwitchGate, OpensOnGridWorkWithResidencyHeadroom)
+{
+    // No pending CTA is ready on these ticks, so grid work is the only
+    // partner, and it counts only while a CTA can still become resident.
+    const auto kernel = streamingKernel(48);
+    unsigned no_room = 0;
+    unsigned room = 0;
+    for (const StallTick &t : probeStallTicks(gateConfig(), *kernel)) {
+        if (!t.slotsFull || !t.gridWork || t.earliestReady <= t.now)
+            continue;
+        if (t.headroom) {
+            ++room;
+            EXPECT_GT(t.switchedOut, 0u) << "cycle " << t.now;
+        } else {
+            ++no_room;
+            EXPECT_EQ(t.switchedOut, 0u) << "cycle " << t.now;
+        }
+    }
+    EXPECT_GT(no_room, 0u);
+    EXPECT_GT(room, 0u);
+}
+
+TEST(StallSwitchGate, RegDramStillDemotesWhenOnlyTheDramTierHasRoom)
+{
+    // An RF-bound kernel: a stalled CTA that ends up in the DRAM tier
+    // took switch (c), reached only after on-chip growth (a) and a ready
+    // on-chip partner (b) were both ruled out on that tick.
+    const auto kernel = streamingKernel(128, 48);
+    GpuConfig config = configFor(PolicyKind::RegDram);
+    config.idleSkip = IdleSkipMode::StepEveryCycle;
+    unsigned demoted = 0;
+    for (const StallTick &t : probeStallTicks(config, *kernel))
+        demoted += t.toDram;
+    EXPECT_GT(demoted, 0u);
 }
 
 TEST(FineRegPolicyTest, LiveRegistersSmallerThanFullContext)
