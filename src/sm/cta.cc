@@ -111,8 +111,8 @@ Cta::rescanStall(Cycle now) const
 Cycle
 Cta::estimateReadyCycle(Cycle now) const
 {
-    // Reused per thread: every eviction calls this, so it must not
-    // allocate. Sweep workers each get their own buffer.
+    // Every eviction calls this, so it reuses one buffer per thread
+    // (sweep workers each get their own) instead of allocating.
     thread_local std::vector<Cycle> wake;
     wake.clear();
     for (const auto &warp : warps_) {
