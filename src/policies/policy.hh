@@ -100,8 +100,8 @@ class Policy
     /**
      * What could take a fully stalled CTA's place (Sec. IV-A): a fresh
      * grid CTA, or the soonest-ready pending CTA. Neither depends on
-     * which CTA stalled, so switching policies test for a partner once
-     * per tick before scanning for stalled CTAs (DESIGN.md §14).
+     * which CTA stalled, so switching policies test for a partner before
+     * they scan for stalled CTAs (DESIGN.md §14, "Stall switching").
      */
     struct SwitchPartner
     {

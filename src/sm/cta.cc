@@ -1,6 +1,7 @@
 #include "sm/cta.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/log.hh"
 #include "ref/cta_values.hh"
@@ -111,21 +112,27 @@ Cta::rescanStall(Cycle now) const
 Cycle
 Cta::estimateReadyCycle(Cycle now) const
 {
-    // Every eviction calls this, so it reuses one buffer per thread
-    // (sweep workers each get their own) instead of allocating.
-    thread_local std::vector<Cycle> wake;
-    wake.clear();
+    // Every eviction calls this, so the wake cycles live on the stack;
+    // only a CTA of more than 64 warps spills to the heap.
+    std::array<Cycle, 64> local;
+    std::vector<Cycle> spill;
+    Cycle *wake = local.data();
+    if (warps_.size() > local.size()) {
+        spill.resize(warps_.size());
+        wake = spill.data();
+    }
+    std::size_t n = 0;
     for (const auto &warp : warps_) {
         if (warp->finished() || warp->atBarrier())
             continue;
-        wake.push_back(warp->scoreboard().lastPendingCycle(now));
+        wake[n++] = warp->scoreboard().lastPendingCycle(now);
     }
-    if (wake.empty())
+    if (n == 0)
         return now;
     // Ready when half the blocked warps can run again: the lower median,
     // the value a full sort would put at this index.
-    const auto median = wake.begin() + (wake.size() - 1) / 2;
-    std::nth_element(wake.begin(), median, wake.end());
+    Cycle *median = wake + (n - 1) / 2;
+    std::nth_element(wake, median, wake + n);
     return *median;
 }
 

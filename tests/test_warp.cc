@@ -193,6 +193,15 @@ TEST(Cta, EstimateReadyCycleIsLowerMedianForOddAndEvenCounts)
     EXPECT_EQ(even.estimateReadyCycle(10), 200u); // {10, 200, 600, 900}
     EXPECT_EQ(odd.estimateReadyCycle(10), 500u);
     EXPECT_EQ(odd.estimateReadyCycle(650), 650u); // {650 x3, 700, 900}
+
+    // More warps than the stack buffer holds: wakes 1000, 1010, ..., 1640
+    // in reverse order; the lower median is the 33rd smallest.
+    const auto wide_kernel = makeSimpleKernel(65 * kWarpSize);
+    KernelContext wide_ctx(*wide_kernel);
+    Cta wide(2, 2, wide_ctx);
+    for (unsigned w = 0; w < 65; ++w)
+        wide.warps()[w]->scoreboard().recordWrite(1, 1640 - 10 * w, true);
+    EXPECT_EQ(wide.estimateReadyCycle(10), 1320u);
 }
 
 TEST(Cta, ExecutionEpisodeLifecycle)
