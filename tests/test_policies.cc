@@ -279,7 +279,9 @@ struct StallTick
      * Cta::policyReadyCycle, which only FineReg keeps. */
     Cycle earliestReady = kNoCycle;
     unsigned switchedOut = 0; ///< stalled CTAs no longer Active after
-    unsigned toDram = 0;      ///< of those, ones left with no registers
+    /** Of those, ones left holding no register allocation: under
+     * Reg+DRAM, the ones demoted to the DRAM tier. */
+    unsigned toDram = 0;
 };
 
 /** Records a StallTick for every tick that starts with a stalled CTA. */
