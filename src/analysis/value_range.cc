@@ -33,19 +33,30 @@ struct ValueDomain
         return State(kernel.regsPerThread(), ValueAbs::bottom());
     }
 
+    /** True when @p reg names a register of the environment. */
+    static bool
+    inRange(const State &env, int reg)
+    {
+        return reg >= 0 && std::size_t(reg) < env.size();
+    }
+
+    /** A register past the declared allocation reads as unknown. */
     static ValueAbs
     operand(const State &env, int src)
     {
         if (src < 0)
             return ValueAbs{Interval::constant(0), true};
+        if (!inRange(env, src))
+            return ValueAbs{Interval::top(), false};
         return env[std::size_t(src)];
     }
 
-    /** Abstract effect of one instruction on the register environment. */
+    /** Abstract effect of one instruction on the register environment. A
+     * def past the declared allocation is dropped. */
     static void
     transferInstr(const Instruction &instr, State &env)
     {
-        if (instr.dst < 0)
+        if (!inRange(env, instr.dst))
             return;
         switch (funcUnitOf(instr.op)) {
           case FuncUnit::ALU:
@@ -136,6 +147,14 @@ ValueRangePass::run(AnalysisContext &ctx)
         for (unsigned i = bb.firstInstr; i < bb.firstInstr + bb.numInstrs;
              ++i) {
             const Instruction &instr = kernel.instrs()[i];
+            for (const int reg : {instr.dst, instr.srcs[0], instr.srcs[1],
+                                  instr.srcs[2]}) {
+                if (reg >= 0 && !ValueDomain::inRange(env, reg))
+                    report(DiagKind::RegisterOutOfRange, i, reg,
+                           "register beyond the declared " +
+                               std::to_string(env.size()) +
+                               " registers/thread; its value is unknown");
+            }
             const bool alu = funcUnitOf(instr.op) == FuncUnit::ALU ||
                              funcUnitOf(instr.op) == FuncUnit::SFU;
 
@@ -164,7 +183,7 @@ ValueRangePass::run(AnalysisContext &ctx)
             }
 
             ValueDomain::transferInstr(instr, env);
-            if (instr.dst < 0 ||
+            if (!ValueDomain::inRange(env, instr.dst) ||
                 (!alu && !(funcUnitOf(instr.op) == FuncUnit::MEM &&
                            isLoad(instr.op))))
                 continue;

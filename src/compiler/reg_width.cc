@@ -16,11 +16,14 @@ using analysis::evalInterval;
 /** Rounds of exact joining before every still-moving register widens. */
 constexpr unsigned kExactRounds = 8;
 
+/** A register past the declared allocation reads as unknown. */
 Interval
 operandOf(const std::vector<Interval> &env, int src)
 {
     if (src < 0)
         return Interval::constant(0);
+    if (std::size_t(src) >= env.size())
+        return Interval::top();
     return env[std::size_t(src)];
 }
 
@@ -48,7 +51,8 @@ RegWidthTable::RegWidthTable(const Kernel &kernel)
         }
         changed = false;
         for (const Instruction &instr : instrs) {
-            if (instr.dst < 0)
+            // A def past the declared allocation has no register to widen.
+            if (instr.dst < 0 || unsigned(instr.dst) >= nregs)
                 continue;
             Interval def;
             switch (funcUnitOf(instr.op)) {

@@ -259,18 +259,6 @@ parseCliOptions(const std::vector<std::string> &args)
                 options.config.verify.fault.pcrfFullProb = prob;
             else
                 options.config.verify.fault.bitvecMissProb = prob;
-        } else if (arg == "--fault-worker" || arg == "--fault-hang") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail(arg + " needs a probability");
-            ++i;
-            const double prob = std::atof(value->c_str());
-            if (prob < 0.0 || prob > 1.0)
-                return fail(arg + " must be in [0, 1]");
-            if (arg == "--fault-worker")
-                options.config.verify.fault.workerExceptionProb = prob;
-            else
-                options.config.verify.fault.jobHangProb = prob;
         } else if (arg == "--job-timeout-ms") {
             const auto value = need_value(i, arg);
             if (!value)
@@ -280,24 +268,6 @@ parseCliOptions(const std::vector<std::string> &args)
             if (ms < 0.0)
                 return fail("--job-timeout-ms must be >= 0");
             options.jobTimeoutMs = ms;
-        } else if (arg == "--retries") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--retries needs a value");
-            ++i;
-            const int retries = std::atoi(value->c_str());
-            if (retries < 0)
-                return fail("--retries must be >= 0");
-            options.retries = static_cast<unsigned>(retries);
-        } else if (arg == "--retry-backoff-ms") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--retry-backoff-ms needs a value");
-            ++i;
-            const double ms = std::atof(value->c_str());
-            if (ms <= 0.0)
-                return fail("--retry-backoff-ms must be positive");
-            options.retryBackoffMs = ms;
         } else if (arg == "--resume") {
             const auto value = need_value(i, arg);
             if (!value)
@@ -363,16 +333,9 @@ cliUsage()
            "  --fault-dram P      injected DRAM-delay probability\n"
            "  --fault-pcrf P      injected PCRF-full probability\n"
            "  --fault-bitvec P    injected bit-vector-cache-miss probability\n"
-           "  --fault-worker P    injected dispatch-exception probability\n"
-           "                      (host-level; never changes sim results)\n"
-           "  --fault-hang P      injected dispatch-hang probability\n"
-           "                      (host-level; never changes sim results)\n"
-           "  --job-timeout-ms MS per-attempt wall-clock deadline enforced\n"
-           "                      by the job guard (0 = off, default)\n"
-           "  --retries N         retry budget for transient job failures\n"
-           "                      (timeouts, worker exceptions; default 0)\n"
-           "  --retry-backoff-ms MS  base of the seeded exponential retry\n"
-           "                      backoff (default 5)\n"
+           "  --job-timeout-ms MS per-job wall-clock deadline; a run that\n"
+           "                      overruns it fails with a timeout (0 = off,\n"
+           "                      default)\n"
            "  --resume FILE       journal completed jobs to FILE (created\n"
            "                      if missing) and replay jobs already\n"
            "                      recorded there instead of re-running\n"
@@ -381,7 +344,11 @@ cliUsage()
            "                      against the reference executor\n"
            "  --list-apps         print the benchmark suite and exit\n"
            "  --verbose           enable status logging\n"
-           "  --help              this text\n";
+           "  --help              this text\n"
+           "\n"
+           "exit status: 0 every run ok; 1 a simulation error or cycle-cap\n"
+           "overrun; 2 bad flags or an unusable journal; 3 wall-clock\n"
+           "timeouts and no harder failure\n";
 }
 
 } // namespace finereg

@@ -48,17 +48,10 @@ struct CliOptions
      */
     bool diffCheck = false;
 
-    // Resilience knobs (JobGuard + SweepJournal).
+    // Deadline and resume knobs (JobGuard + SweepJournal).
 
-    /** Per-attempt wall-clock deadline in ms; 0 disables (default). */
+    /** Per-job wall-clock deadline in ms; 0 disables (default). */
     double jobTimeoutMs = 0.0;
-
-    /** Retry budget per job for transient failures (timeouts, worker
-     * exceptions); 0 never retries (default). */
-    unsigned retries = 0;
-
-    /** Base of the seeded exponential retry backoff, in ms. */
-    double retryBackoffMs = 5.0;
 
     /** Sweep journal path: completed jobs are recorded as they finish and
      * jobs already recorded "ok" are replayed instead of re-run. Empty
@@ -97,11 +90,7 @@ struct ParseResult
  *   --fault-dram P            injected DRAM-delay probability
  *   --fault-pcrf P            injected PCRF-full probability
  *   --fault-bitvec P          injected bit-vector-cache-miss probability
- *   --fault-worker P          injected dispatch-exception probability
- *   --fault-hang P            injected dispatch-hang probability
- *   --job-timeout-ms MS       per-attempt wall-clock deadline (0 = off)
- *   --retries N               retry budget for transient job failures
- *   --retry-backoff-ms MS     seeded exponential backoff base
+ *   --job-timeout-ms MS       per-job wall-clock deadline (0 = off)
  *   --resume FILE             journal completed jobs to FILE and replay
  *                             any already recorded there
  *   --diff-check              diff end states against the reference executor

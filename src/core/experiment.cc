@@ -69,20 +69,19 @@ Experiment::makeGuardedJob(
             return [result = prev->result] { return result; };
     }
 
-    JobGuard::Attempt run_attempt =
+    JobGuard::Body run =
         [config, kernel = std::move(kernel), key,
          per_attempt = std::move(per_attempt)](
-            unsigned attempt,
             std::shared_ptr<CancelToken> token) -> SimResult {
         GpuConfig cfg = config;
         cfg.verify.cancel = std::move(token);
         if (per_attempt)
-            per_attempt(cfg, key, attempt);
+            per_attempt(cfg, key, 0);
         return Simulator::run(cfg, *kernel);
     };
 
-    return [guarded = guard.wrap(key, std::move(run_attempt)),
-            key = std::move(key), app = std::move(app), journal] {
+    return [guarded = guard.wrap(std::move(run)), key = std::move(key),
+            app = std::move(app), journal] {
         const auto start = MsClock::now();
         SimResult result = guarded();
         const double wall_ms = std::chrono::duration<double, std::milli>(
@@ -92,10 +91,7 @@ Experiment::makeGuardedJob(
             JournalEntry entry;
             entry.key = key;
             entry.app = app;
-            entry.status = !result.failed ? "ok"
-                           : result.error.kind == SimErrorKind::Quarantined
-                               ? "quarantined"
-                               : "failed";
+            entry.status = result.failed ? "failed" : "ok";
             entry.wallMs = wall_ms;
             entry.result = result;
             // Journal entries carry condensed stats only.
@@ -119,18 +115,13 @@ Experiment::runGuardedSweep(const std::vector<GpuConfig> &configs,
                     std::vector<std::string>(apps.size()));
 
     // Build each kernel once; kernels are immutable after finalization and
-    // shared across configs, attempts, and journal-key computation.
+    // shared across configs, jobs, and journal-key computation.
     std::vector<std::shared_ptr<const Kernel>> kernels;
     kernels.reserve(apps.size());
     for (const auto &app : apps)
         kernels.push_back(Suite::makeKernel(app, options.gridScale));
 
-    std::unique_ptr<JobGuard> owned;
-    JobGuard *guard = options.guardInstance;
-    if (!guard) {
-        owned = std::make_unique<JobGuard>(options.guard);
-        guard = owned.get();
-    }
+    JobGuard guard(options.jobTimeoutMs);
 
     std::vector<ParallelRunner::Job> matrix;
     matrix.reserve(configs.size() * apps.size());
@@ -140,7 +131,7 @@ Experiment::runGuardedSweep(const std::vector<GpuConfig> &configs,
                 makeSweepJobKey(*kernels[a], configs[c]).toString();
             out.keys[c][a] = key;
             matrix.push_back(makeGuardedJob(kernels[a], configs[c],
-                                            apps[a].abbrev, key, *guard,
+                                            apps[a].abbrev, key, guard,
                                             options.journal,
                                             options.perAttempt));
         }
@@ -162,11 +153,7 @@ Experiment::runGuardedSweep(const std::vector<GpuConfig> &configs,
         ++out.failed;
         if (result.error.kind == SimErrorKind::Cancelled)
             ++out.cancelled;
-        else if (result.error.kind == SimErrorKind::Quarantined)
-            ++out.quarantined;
     }
-    out.guardStats = guard->stats();
-    out.quarantine = guard->quarantined();
 
     for (std::size_t c = 0; c < configs.size(); ++c) {
         out.results[c].assign(
@@ -174,13 +161,6 @@ Experiment::runGuardedSweep(const std::vector<GpuConfig> &configs,
             std::make_move_iterator(flat.begin() + (c + 1) * apps.size()));
     }
     return out;
-}
-
-GuardedSweepOutcome
-Experiment::runGuardedSuite(const GpuConfig &config,
-                            const GuardedSweepOptions &options)
-{
-    return runGuardedSweep({config}, options);
 }
 
 std::map<std::string, double>

@@ -23,7 +23,7 @@
 namespace finereg
 {
 
-/** Knobs for Experiment::runGuardedSweep / runGuardedSuite. */
+/** Knobs for Experiment::runGuardedSweep. */
 struct GuardedSweepOptions
 {
     double gridScale = 1.0;
@@ -31,31 +31,27 @@ struct GuardedSweepOptions
     /** Worker count (ParallelRunner semantics: 0 = auto, 1 = serial). */
     unsigned jobs = 0;
 
-    /** Deadline/retry/quarantine policy applied to every job. */
-    GuardOptions guard;
+    /** Per-job wall-clock deadline in milliseconds; 0 disables. */
+    double jobTimeoutMs = 0.0;
 
     /**
      * Optional journal. Jobs whose key has an "ok" entry are replayed from
      * it (bit-identical, SimResult::fromJournal set) instead of being
      * re-simulated; every job that does run is appended as it completes.
-     * Missing, failed, quarantined, and cancelled entries all re-run.
+     * Missing, failed, and cancelled entries all re-run.
      */
     SweepJournal *journal = nullptr;
-
-    /** Optional external guard (the chaos harness needs killAll() on the
-     * live instance); when null the sweep owns a private one. */
-    JobGuard *guardInstance = nullptr;
 
     /** External kill switch forwarded to ParallelOptions::stop: pending
      * jobs are skipped as Cancelled once set. */
     std::shared_ptr<const std::atomic<bool>> stop;
 
     /**
-     * Per-attempt config hook, called after the cancel token is installed
-     * and before the Gpu is built. The chaos harness uses it to arm
-     * host-level fault sites on selected (key, attempt) pairs; the hook
-     * must only touch knobs excluded from configFingerprint or resumed
-     * sweeps lose their key identity.
+     * Per-job config hook, called once after the cancel token is
+     * installed and before the Gpu is built (never for replayed cells);
+     * the last argument is always 0. The hook must only touch knobs
+     * excluded from configFingerprint or resumed sweeps lose their key
+     * identity.
      */
     std::function<void(GpuConfig &config, const std::string &key,
                        unsigned attempt)>
@@ -72,14 +68,10 @@ struct GuardedSweepOutcome
     /** keys[c][a] = journal key of that cell (repro + resume identity). */
     std::vector<std::vector<std::string>> keys;
 
-    unsigned replayed = 0; ///< Cells served from the journal.
-    unsigned executed = 0; ///< Cells that ran and succeeded.
-    unsigned failed = 0;   ///< Cells with a terminal failure (any kind).
-    unsigned cancelled = 0;    ///< Failed cells killed externally.
-    unsigned quarantined = 0;  ///< Failed cells skipped via quarantine.
-
-    JobGuard::Stats guardStats;
-    std::vector<QuarantineEntry> quarantine;
+    unsigned replayed = 0;  ///< Cells served from the journal.
+    unsigned executed = 0;  ///< Cells that ran and succeeded.
+    unsigned failed = 0;    ///< Cells with a terminal failure (any kind).
+    unsigned cancelled = 0; ///< Failed cells skipped by the stop switch.
 
     bool allOk() const { return failed == 0; }
 };
@@ -118,27 +110,21 @@ class Experiment
              unsigned jobs = 0);
 
     /**
-     * runSweep with the resilience layer: every job runs under a JobGuard
-     * (wall-clock deadline, bounded retry with seeded backoff, quarantine)
-     * and is optionally journaled/resumed. The sweep always completes: a
-     * failing cell is annotated in place, never fatal to its siblings.
+     * runSweep with a per-job wall-clock deadline and an optional journal
+     * to resume from. The sweep always completes: a failing cell is
+     * annotated in place, never fatal to its siblings.
      */
     static GuardedSweepOutcome
     runGuardedSweep(const std::vector<GpuConfig> &configs,
                     const GuardedSweepOptions &options);
 
-    /** Single-config convenience wrapper over runGuardedSweep. */
-    static GuardedSweepOutcome
-    runGuardedSuite(const GpuConfig &config,
-                    const GuardedSweepOptions &options);
-
     /**
      * Build one guarded, journaled pool job for (kernel, config): replays
      * from @p journal when an "ok" entry exists for @p key, otherwise
-     * wraps a Simulator::run attempt in @p guard and appends the outcome
-     * to the journal as the job completes. This is the building block
-     * under runGuardedSweep, shared by the CLI drivers (which fan custom
-     * app x policy matrices rather than the full suite).
+     * runs Simulator::run once under @p guard and appends the outcome to
+     * the journal as the job completes. This is the building block under
+     * runGuardedSweep, shared by the CLI drivers (which fan custom app x
+     * policy matrices rather than the full suite).
      */
     static ParallelRunner::Job makeGuardedJob(
         std::shared_ptr<const Kernel> kernel, const GpuConfig &config,

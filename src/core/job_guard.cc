@@ -2,31 +2,12 @@
 
 #include <algorithm>
 
-#include "common/rng.hh"
-
 namespace finereg
-{
-
-namespace
 {
 
 using Clock = std::chrono::steady_clock;
 
-/** FNV-1a over a string, for mixing job keys into the backoff stream. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-} // namespace
-
-JobGuard::JobGuard(GuardOptions options) : options_(options)
+JobGuard::JobGuard(double job_timeout_ms) : jobTimeoutMs_(job_timeout_ms)
 {
 }
 
@@ -44,19 +25,19 @@ JobGuard::~JobGuard()
 std::uint64_t
 JobGuard::watch(std::shared_ptr<CancelToken> token)
 {
+    if (jobTimeoutMs_ <= 0.0)
+        return 0;
     std::lock_guard<std::mutex> lock(mutex_);
     const std::uint64_t lease = nextLease_++;
     Deadline deadline;
     deadline.expires =
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double, std::milli>(
-                               options_.jobTimeoutMs));
+                               jobTimeoutMs_));
     deadline.token = std::move(token);
     inflight_.emplace(lease, std::move(deadline));
-    if (!monitorStarted_) {
-        monitorStarted_ = true;
+    if (!monitor_.joinable())
         monitor_ = std::thread([this] { monitorLoop(); });
-    }
     cv_.notify_all();
     return lease;
 }
@@ -64,6 +45,8 @@ JobGuard::watch(std::shared_ptr<CancelToken> token)
 void
 JobGuard::release(std::uint64_t lease)
 {
+    if (lease == 0)
+        return;
     std::lock_guard<std::mutex> lock(mutex_);
     inflight_.erase(lease);
 }
@@ -86,8 +69,8 @@ JobGuard::monitorLoop()
         const auto now = Clock::now();
         for (auto it = inflight_.begin(); it != inflight_.end();) {
             if (it->second.expires <= now) {
-                it->second.token->requestTimeout();
-                ++stats_.timeouts;
+                it->second.token->expire();
+                ++timeouts_;
                 it = inflight_.erase(it);
             } else {
                 ++it;
@@ -96,140 +79,24 @@ JobGuard::monitorLoop()
     }
 }
 
-void
-JobGuard::killAll()
+std::uint64_t
+JobGuard::timeouts() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &[lease, deadline] : inflight_)
-        deadline.token->requestKill();
-    inflight_.clear();
-}
-
-bool
-JobGuard::isQuarantined(const std::string &key) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return std::any_of(quarantine_.begin(), quarantine_.end(),
-                       [&](const QuarantineEntry &e) { return e.key == key; });
-}
-
-std::vector<QuarantineEntry>
-JobGuard::quarantined() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return quarantine_;
-}
-
-void
-JobGuard::quarantineKey(const std::string &key, unsigned attempts,
-                        SimError last_error)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (std::any_of(quarantine_.begin(), quarantine_.end(),
-                    [&](const QuarantineEntry &e) { return e.key == key; }))
-        return;
-    quarantine_.push_back({key, attempts, std::move(last_error)});
-}
-
-JobGuard::Stats
-JobGuard::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
-}
-
-SimResult
-JobGuard::quarantinedResult(const std::string &key) const
-{
-    SimResult out;
-    out.failed = true;
-    out.error.kind = SimErrorKind::Quarantined;
-    out.error.message =
-        "job " + key + " skipped: quarantined after earlier failures";
-    out.failureReason = out.error.toString();
-    out.attempts = 0;
-    return out;
+    return timeouts_;
 }
 
 ParallelRunner::Job
-JobGuard::wrap(std::string key, Attempt attempt)
+JobGuard::wrap(Body body)
 {
-    return [this, key = std::move(key),
-            attempt = std::move(attempt)]() -> SimResult {
-        if (options_.quarantine && isQuarantined(key)) {
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++stats_.quarantineSkips;
-            }
-            return quarantinedResult(key);
-        }
-
-        const unsigned max_attempts = options_.retries + 1;
-        SimResult result;
-        for (unsigned a = 0; a < max_attempts; ++a) {
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++stats_.attemptsStarted;
-            }
-            auto token = std::make_shared<CancelToken>();
-            std::uint64_t lease = 0;
-            if (options_.jobTimeoutMs > 0.0)
-                lease = watch(token);
-            result = ParallelRunner::runCaptured(
-                [&] { return attempt(a, token); });
-            if (lease != 0)
-                release(lease);
-            result.attempts = a + 1;
-            if (!result.failed)
-                return result;
-
-            const bool retryable =
-                (options_.retryOn & retryMask(result.error.kind)) != 0;
-            if (!retryable || a + 1 >= max_attempts)
-                break;
-
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++stats_.retriesScheduled;
-            }
-            // Seeded exponential backoff: deterministic per (key,
-            // attempt) so sweeps stay replayable, jittered so a batch of
-            // failing jobs does not retry in lockstep.
-            const double base =
-                options_.backoffBaseMs * static_cast<double>(1u << a);
-            Rng jitter(options_.backoffSeed ^ fnv1a(key) ^
-                       (0x9e3779b97f4a7c15ull * (a + 1)));
-            const double sleep_ms = std::min(
-                options_.backoffMaxMs, base * (0.5 + jitter.uniform()));
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(sleep_ms));
-        }
-
-        // Every attempt failed. Quarantine the key (so sibling or future
-        // submissions skip it) and report the terminal error, preserving
-        // the underlying cause in the message. Externally cancelled jobs
-        // are NOT quarantined: they did not fail on their own, and a
-        // resumed sweep must re-run them.
-        if (options_.quarantine &&
-            result.error.kind != SimErrorKind::Cancelled)
-            quarantineKey(key, result.attempts, result.error);
-        if (result.attempts > 1) {
-            SimResult out = result;
-            out.error.kind = SimErrorKind::RetriesExhausted;
-            out.error.message =
-                "job " + key + " failed " + std::to_string(result.attempts) +
-                " attempts; last error: " + result.error.toString();
-            out.failureReason = out.error.toString();
-            return out;
-        }
+    return [this, body = std::move(body)]() -> SimResult {
+        auto token = std::make_shared<CancelToken>();
+        const std::uint64_t lease = watch(token);
+        SimResult result =
+            ParallelRunner::runCaptured([&] { return body(token); });
+        release(lease);
         return result;
     };
-}
-
-SimResult
-JobGuard::runGuarded(const std::string &key, Attempt attempt)
-{
-    return wrap(key, std::move(attempt))();
 }
 
 } // namespace finereg

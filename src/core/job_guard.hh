@@ -1,22 +1,14 @@
 /**
  * @file
- * JobGuard: the resilience layer around ParallelRunner jobs. Wraps each
- * job with
+ * JobGuard: the per-job wall-clock deadline around ParallelRunner jobs.
+ * One shared monitor thread sleeps until the earliest registered deadline
+ * and trips that job's CancelToken when it passes; the Gpu run loop polls
+ * the token and aborts with a typed Timeout error (the same cooperative
+ * hook the watchdog and cycle cap use).
  *
- *  - a wall-clock deadline, enforced by one shared monitor thread that
- *    trips the attempt's CancelToken when the deadline passes (the Gpu
- *    run loop polls the token and aborts with a typed Timeout error — the
- *    same cooperative hook the watchdog and cycle cap use);
- *  - a bounded retry policy with seeded exponential backoff. Only a
- *    configurable set of SimErrorKinds is retried (transient host-side
- *    faults: timeouts, worker exceptions — deterministic simulation
- *    errors would fail identically every time). Each attempt rebuilds the
- *    Gpu from the same config, so per-warp RNGs are reseeded and a
- *    retried run is bit-exact with a clean one;
- *  - a quarantine list: a job whose key exhausts every attempt is
- *    recorded and later submissions of the same key are skipped
- *    immediately with SimErrorKind::Quarantined, so one poisoned
- *    (app, policy, config) cell can never take the rest of a sweep down.
+ * A guarded job runs exactly once. The simulator is deterministic, so a
+ * failed run would fail the same way on every repeat; there is nothing
+ * to retry.
  */
 
 #ifndef FINEREG_CORE_JOB_GUARD_HH
@@ -29,9 +21,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <vector>
 
 #include "core/parallel_runner.hh"
 #include "verify/verify_config.hh"
@@ -39,138 +29,59 @@
 namespace finereg
 {
 
-/** Bit for @p kind in GuardOptions::retryOn. */
-constexpr unsigned
-retryMask(SimErrorKind kind)
-{
-    return 1u << static_cast<unsigned>(kind);
-}
-
-/** Knobs for one JobGuard instance (shared by every wrapped job). */
-struct GuardOptions
-{
-    /** Per-attempt wall-clock deadline in milliseconds; 0 disables. */
-    double jobTimeoutMs = 0.0;
-
-    /** Extra attempts after the first (0 = never retry). */
-    unsigned retries = 0;
-
-    /** Exponential backoff before attempt k: base * 2^(k-1), jittered to
-     * [0.5x, 1.5x) by a per-(key, attempt) seeded draw, capped at max. */
-    double backoffBaseMs = 5.0;
-    double backoffMaxMs = 250.0;
-
-    /** Seed of the backoff jitter stream (mixed with the job key). */
-    std::uint64_t backoffSeed = 0x5eedbacc0ffull;
-
-    /** Bitmask (retryMask) of error kinds worth retrying. Everything else
-     * fails immediately: deterministic errors (Config,
-     * InvariantViolation, Deadlock) would reproduce bit-exactly, and
-     * Cancelled is an external decision. */
-    unsigned retryOn = retryMask(SimErrorKind::Timeout) |
-                       retryMask(SimErrorKind::WorkerException);
-
-    /** Record keys that exhaust every attempt and skip them on later
-     * submissions. */
-    bool quarantine = true;
-};
-
-/** One quarantined job key and why it got there. */
-struct QuarantineEntry
-{
-    std::string key;
-    unsigned attempts = 0;
-    SimError lastError;
-};
-
 class JobGuard
 {
   public:
     /**
-     * One retryable unit of work. The guard calls it once per attempt
-     * with the attempt index (0-based) and the CancelToken the deadline
-     * monitor will trip; the attempt must install the token into its
-     * GpuConfig (config.verify.cancel) for the deadline to be
-     * enforceable.
+     * One guarded unit of work. The guard calls it once with the
+     * CancelToken the deadline monitor will trip; the body must install
+     * the token into its GpuConfig (config.verify.cancel) for the
+     * deadline to be enforceable.
      */
-    using Attempt =
-        std::function<SimResult(unsigned attempt,
-                                std::shared_ptr<CancelToken> cancel)>;
+    using Body = std::function<SimResult(std::shared_ptr<CancelToken> cancel)>;
 
-    explicit JobGuard(GuardOptions options = {});
+    /** @param job_timeout_ms per-job wall-clock deadline; 0 disables. */
+    explicit JobGuard(double job_timeout_ms = 0.0);
     ~JobGuard();
 
     JobGuard(const JobGuard &) = delete;
     JobGuard &operator=(const JobGuard &) = delete;
 
     /**
-     * Wrap @p attempt into a ParallelRunner::Job that applies the
-     * deadline/retry/quarantine policy. @p key identifies the job for
-     * quarantine and backoff seeding (use SweepJobKey::toString()).
-     * The returned result carries the attempt count on
-     * SimResult::attempts.
+     * Wrap @p body into a ParallelRunner::Job that installs a fresh
+     * token, registers it with the deadline monitor, runs the body once
+     * (exceptions become failed results, as on the pool) and releases
+     * the token.
      */
-    ParallelRunner::Job wrap(std::string key, Attempt attempt);
+    ParallelRunner::Job wrap(Body body);
 
-    /** Convenience: wrap and run a single attempt inline. */
-    SimResult runGuarded(const std::string &key, Attempt attempt);
-
-    /** Trip every in-flight attempt's CancelToken with kKilled (the
-     * chaos harness's mid-sweep kill). Pending pool jobs are skipped via
-     * ParallelOptions::stop, not here. */
-    void killAll();
-
-    /** True when @p key is on the quarantine list. */
-    bool isQuarantined(const std::string &key) const;
-
-    /** Snapshot of the quarantine list (stable order: first-quarantined
-     * first). */
-    std::vector<QuarantineEntry> quarantined() const;
-
-    /** Pre-seed the quarantine list (journal resume). */
-    void quarantineKey(const std::string &key, unsigned attempts,
-                       SimError last_error);
-
-    /** Totals across every wrapped job so far. */
-    struct Stats
-    {
-        std::uint64_t attemptsStarted = 0;
-        std::uint64_t retriesScheduled = 0;
-        std::uint64_t timeouts = 0;
-        std::uint64_t quarantineSkips = 0;
-    };
-    Stats stats() const;
-
-    const GuardOptions &options() const { return options_; }
+    /** Deadlines tripped so far, across every wrapped job. */
+    std::uint64_t timeouts() const;
 
   private:
+    /** Register @p token to be timed out at now + jobTimeoutMs; returns a
+     * lease id for release(), or 0 when no deadline is set. Starts the
+     * monitor thread on first use. */
+    std::uint64_t watch(std::shared_ptr<CancelToken> token);
+    void release(std::uint64_t lease);
+
+    void monitorLoop();
+
     struct Deadline
     {
         std::chrono::steady_clock::time_point expires;
         std::shared_ptr<CancelToken> token;
     };
 
-    /** Register @p token to be timed out at now + jobTimeoutMs; returns a
-     * lease id for release(). Starts the monitor thread on first use. */
-    std::uint64_t watch(std::shared_ptr<CancelToken> token);
-    void release(std::uint64_t lease);
-
-    void monitorLoop();
-
-    SimResult quarantinedResult(const std::string &key) const;
-
-    GuardOptions options_;
+    const double jobTimeoutMs_;
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     std::map<std::uint64_t, Deadline> inflight_;
     std::uint64_t nextLease_ = 1;
     bool shutdown_ = false;
-    std::thread monitor_;
-    bool monitorStarted_ = false;
-
-    std::vector<QuarantineEntry> quarantine_;
-    Stats stats_;
+    std::uint64_t timeouts_ = 0;
+    std::thread monitor_; ///< Declared last: it uses every member above.
 };
 
 } // namespace finereg

@@ -42,9 +42,8 @@ struct ParallelOptions
     /**
      * External kill switch: when non-null and set, jobs that have not
      * started yet are skipped with SimErrorKind::Cancelled (like
-     * fail-fast, but triggered from outside the batch — the chaos
-     * harness's mid-sweep kill). Running jobs are not interrupted here;
-     * interrupt those via their CancelToken (JobGuard::killAll).
+     * fail-fast, but triggered from outside the batch). Running jobs
+     * finish normally; only their JobGuard deadline can stop them early.
      */
     std::shared_ptr<const std::atomic<bool>> stop;
 };
@@ -95,8 +94,8 @@ class ParallelRunner
      * Run @p job, converting any escaping exception into a failed
      * SimResult (SimException keeps its typed error; anything else
      * becomes WorkerException). This is the exact per-job wrapper runAll
-     * applies; JobGuard reuses it so retry attempts see the same failure
-     * taxonomy whether or not they run on the pool.
+     * applies; JobGuard reuses it so a guarded job reports the same
+     * failure taxonomy whether or not it runs on the pool.
      */
     static SimResult runCaptured(const Job &job);
 

@@ -91,10 +91,6 @@ struct SimResult
     };
     HostPerf hostPerf;
 
-    /** Attempts it took to produce this result (JobGuard retries; 1 for
-     * unguarded runs and first-try successes). */
-    unsigned attempts = 1;
-
     /** True when this result was replayed from a sweep journal instead of
      * being re-simulated (--resume). */
     bool fromJournal = false;

@@ -232,8 +232,6 @@ parseErrorKind(const std::string &name)
         SimErrorKind::WorkerException,
         SimErrorKind::Cancelled,
         SimErrorKind::Timeout,
-        SimErrorKind::RetriesExhausted,
-        SimErrorKind::Quarantined,
     };
     for (const SimErrorKind kind : kKinds) {
         if (name == simErrorKindName(kind))
@@ -339,11 +337,7 @@ configFingerprint(const GpuConfig &config)
     mix(h, p.umBytes);
     mix(h, static_cast<std::uint64_t>(p.dropLiveReg));
 
-    // Verification knobs that perturb simulated behaviour. The host-level
-    // fault sites (workerExceptionProb, jobHang*) are deliberately
-    // excluded: a dispatch exception aborts before any work and a hang
-    // burns wall-clock only, so results are identical with or without
-    // them — and retried attempts must map to the same key.
+    // Verification knobs that perturb simulated behaviour.
     const VerifyConfig &v = config.verify;
     mix(h, v.auditInterval);
     mix(h, v.watchdogCycles);
@@ -388,7 +382,6 @@ journalEntryToJson(const JournalEntry &entry)
         << ",\"wall_ms\":" << fmtDouble(entry.wallMs)
         << ",\"kernel\":\"" << escape(r.kernelName) << '"'
         << ",\"policy\":\"" << escape(r.policyName) << '"'
-        << ",\"attempts\":" << r.attempts
         << ",\"cycles\":" << r.cycles
         << ",\"instructions\":" << r.instructions
         << ",\"ipc\":" << fmtDouble(r.ipc)
@@ -440,7 +433,6 @@ journalEntryFromJson(const std::string &line)
     SimResult &r = entry.result;
     r.kernelName = getString(m, "kernel");
     r.policyName = getString(m, "policy");
-    r.attempts = static_cast<unsigned>(getU64(m, "attempts"));
     r.cycles = getU64(m, "cycles");
     r.instructions = getU64(m, "instructions");
     r.ipc = getDouble(m, "ipc");

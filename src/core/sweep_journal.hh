@@ -45,8 +45,7 @@ std::uint64_t kernelFingerprint(const Kernel &kernel);
 /**
  * Stable FNV-1a fingerprint over every result-affecting GpuConfig knob
  * EXCEPT the policy kind and the seed (those are separate key parts) and
- * the runtime-only members (the cancel token, host-level fault sites —
- * dispatch exceptions and hangs never change simulated results).
+ * the runtime-only cancel token, which never changes simulated results.
  */
 std::uint64_t configFingerprint(const GpuConfig &config);
 
@@ -70,7 +69,7 @@ struct JournalEntry
 {
     std::string key;
     std::string app;    ///< Suite abbreviation (repro convenience).
-    std::string status; ///< "ok", "failed", or "quarantined".
+    std::string status; ///< "ok" or "failed".
     double wallMs = 0.0;
     SimResult result; ///< Full condensed result (archState excluded).
 

@@ -1,10 +1,7 @@
 #include "sm/gpu.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "common/log.hh"
 #include "ref/cta_values.hh"
@@ -80,40 +77,17 @@ Gpu::run()
 
     const std::shared_ptr<CancelToken> &cancel = config_.verify.cancel;
 
-    // Host-level fault sites, drawn once at dispatch. The injected
-    // exception aborts the run before any simulated work; the injected
-    // hang burns wall-clock time in cancel-polled slices and then lets
-    // the run proceed, so simulated results are never perturbed.
-    if (fault_ && fault_->forceWorkerException()) {
-        throw std::runtime_error(
-            "injected worker-job exception at dispatch (fault seed " +
-            std::to_string(fault_->config().seed) + ")");
-    }
-    if (fault_ && fault_->forceJobHang()) {
-        const auto slice = std::chrono::duration<double, std::milli>(
-            std::max(0.1, fault_->config().jobHangSliceMs));
-        const auto hang_start = std::chrono::steady_clock::now();
-        const auto hang_cap = std::chrono::duration<double, std::milli>(
-            fault_->config().jobHangMaxMs);
-        while (!(cancel && cancel->cancelled()) &&
-               std::chrono::steady_clock::now() - hang_start < hang_cap) {
-            std::this_thread::sleep_for(slice);
-        }
-    }
-
     while (!dispatcher_.allComplete()) {
-        if (cancel && cancel->cancelled()) {
-            const std::string what =
-                "kernel " + context_->kernel().name() + " cancelled at cycle " +
-                std::to_string(now_) + " with " +
-                std::to_string(dispatcher_.completed()) + "/" +
-                std::to_string(dispatcher_.gridCtas()) + " CTAs done";
-            if (cancel->reason() == CancelToken::kTimeout) {
-                raiseTimeout("wall-clock deadline expired: " + what, now_,
-                             buildStallDiagnostic(*this, now_,
-                                                  watchdog.lastProgress()));
-            }
-            raiseCancelled(what, now_);
+        if (cancel && cancel->expired()) {
+            raiseTimeout("wall-clock deadline expired: kernel " +
+                             context_->kernel().name() + " stopped at cycle " +
+                             std::to_string(now_) + " with " +
+                             std::to_string(dispatcher_.completed()) + "/" +
+                             std::to_string(dispatcher_.gridCtas()) +
+                             " CTAs done",
+                         now_,
+                         buildStallDiagnostic(*this, now_,
+                                              watchdog.lastProgress()));
         }
         if (now_ >= config_.maxCycles) {
             FINEREG_WARN("kernel ", context_->kernel().name(),

@@ -5,12 +5,9 @@ namespace finereg
 
 FaultInjector::FaultInjector(const FaultConfig &config, StatGroup &stats)
     : config_(config), rng_(config.seed),
-      hostRng_(config.seed ^ 0xc4a0541abf13ull),
       dramDelays_(&stats.counter("fault.dram_delays")),
       pcrfFulls_(&stats.counter("fault.pcrf_fulls")),
-      bitvecMisses_(&stats.counter("fault.bitvec_misses")),
-      workerExceptions_(&stats.counter("fault.worker_exceptions")),
-      jobHangs_(&stats.counter("fault.job_hangs"))
+      bitvecMisses_(&stats.counter("fault.bitvec_misses"))
 {
 }
 
@@ -44,28 +41,6 @@ FaultInjector::forceBitvecMiss()
         return false;
     }
     bitvecMisses_->inc();
-    return true;
-}
-
-bool
-FaultInjector::forceWorkerException()
-{
-    if (!enabled() || config_.workerExceptionProb <= 0.0 ||
-        !hostRng_.chance(config_.workerExceptionProb)) {
-        return false;
-    }
-    workerExceptions_->inc();
-    return true;
-}
-
-bool
-FaultInjector::forceJobHang()
-{
-    if (!enabled() || config_.jobHangProb <= 0.0 ||
-        !hostRng_.chance(config_.jobHangProb)) {
-        return false;
-    }
-    jobHangs_->inc();
     return true;
 }
 

@@ -34,16 +34,6 @@ class FaultInjector
     /** True when this bit-vector cache hit must be treated as a miss. */
     bool forceBitvecMiss();
 
-    // Host-level sites (drawn once per run, at dispatch). These consume a
-    // separate RNG stream derived from the seed, so arming them never
-    // shifts the in-simulation fault schedule above.
-
-    /** True when this run must throw a plain exception at dispatch. */
-    bool forceWorkerException();
-
-    /** True when this run must hang at dispatch (deadline testing). */
-    bool forceJobHang();
-
     const FaultConfig &config() const { return config_; }
 
     /** Injection counts (also exported as fault.* stats counters). */
@@ -53,22 +43,14 @@ class FaultInjector
     {
         return bitvecMisses_->value();
     }
-    std::uint64_t injectedWorkerExceptions() const
-    {
-        return workerExceptions_->value();
-    }
-    std::uint64_t injectedJobHangs() const { return jobHangs_->value(); }
 
   private:
     FaultConfig config_;
     Rng rng_;
-    Rng hostRng_; ///< Separate stream for the dispatch-time sites.
 
     Counter *dramDelays_;
     Counter *pcrfFulls_;
     Counter *bitvecMisses_;
-    Counter *workerExceptions_;
-    Counter *jobHangs_;
 };
 
 } // namespace finereg

@@ -24,10 +24,6 @@ simErrorKindName(SimErrorKind kind)
         return "cancelled";
       case SimErrorKind::Timeout:
         return "timeout";
-      case SimErrorKind::RetriesExhausted:
-        return "retries-exhausted";
-      case SimErrorKind::Quarantined:
-        return "quarantined";
     }
     return "unknown";
 }
@@ -102,16 +98,6 @@ raiseTimeout(std::string message, Cycle cycle, std::string diagnostic)
     error.message = std::move(message);
     error.cycle = cycle;
     error.diagnostic = std::move(diagnostic);
-    throw SimException(std::move(error));
-}
-
-void
-raiseCancelled(std::string message, Cycle cycle)
-{
-    SimError error;
-    error.kind = SimErrorKind::Cancelled;
-    error.message = std::move(message);
-    error.cycle = cycle;
     throw SimException(std::move(error));
 }
 

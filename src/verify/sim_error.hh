@@ -25,10 +25,8 @@ enum class SimErrorKind : unsigned char
     InvariantViolation, ///< Simulator state failed a bookkeeping invariant.
     Deadlock,           ///< Watchdog: no forward progress for too long.
     WorkerException,    ///< Non-SimException escaped a parallel job.
-    Cancelled,          ///< Job cancelled (fail-fast or an external kill).
+    Cancelled,          ///< Job skipped before it started (fail-fast/stop).
     Timeout,            ///< Wall-clock deadline expired (JobGuard monitor).
-    RetriesExhausted,   ///< Every JobGuard attempt failed.
-    Quarantined,        ///< Job skipped: its key is on the quarantine list.
 };
 
 const char *simErrorKindName(SimErrorKind kind);
@@ -93,9 +91,6 @@ class SimException : public std::runtime_error
 /** Throw a Timeout-kind SimException (cooperative wall-clock cancel). */
 [[noreturn]] void raiseTimeout(std::string message, Cycle cycle,
                                std::string diagnostic = {});
-
-/** Throw a Cancelled-kind SimException (external kill, not fail-fast). */
-[[noreturn]] void raiseCancelled(std::string message, Cycle cycle);
 
 } // namespace finereg
 

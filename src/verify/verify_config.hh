@@ -19,44 +19,20 @@ namespace finereg
 
 /**
  * Cooperative cancellation token shared between a running simulation and
- * whoever supervises it (the JobGuard deadline monitor, the chaos
- * harness's killer thread). The Gpu run loop polls the token once per
- * iteration and aborts the run with a typed Timeout/Cancelled SimError.
- * The first requester wins; later requests are ignored.
+ * the JobGuard deadline monitor. The monitor sets it when the run's
+ * wall-clock deadline expires; the Gpu run loop polls it once per
+ * iteration and aborts the run with a typed Timeout SimError.
  */
 class CancelToken
 {
   public:
-    enum Reason : int
-    {
-        kNone = 0,
-        kTimeout = 1, ///< Wall-clock deadline expired.
-        kKilled = 2,  ///< External kill (chaos, shutdown).
-    };
+    /** Flag the deadline as expired. */
+    void expire() { expired_.store(true, std::memory_order_release); }
 
-    /** Flag a deadline expiry; no-op if already cancelled. */
-    void
-    requestTimeout()
-    {
-        int expected = kNone;
-        reason_.compare_exchange_strong(expected, kTimeout,
-                                        std::memory_order_acq_rel);
-    }
-
-    /** Flag an external kill; no-op if already cancelled. */
-    void
-    requestKill()
-    {
-        int expected = kNone;
-        reason_.compare_exchange_strong(expected, kKilled,
-                                        std::memory_order_acq_rel);
-    }
-
-    int reason() const { return reason_.load(std::memory_order_acquire); }
-    bool cancelled() const { return reason() != kNone; }
+    bool expired() const { return expired_.load(std::memory_order_acquire); }
 
   private:
-    std::atomic<int> reason_{kNone};
+    std::atomic<bool> expired_{false};
 };
 
 /**
@@ -85,38 +61,7 @@ struct FaultConfig
      * forces the off-chip 12-byte table fetch. */
     double bitvecMissProb = 0.05;
 
-    // Host-level fault sites (resilience testing). Both are drawn once
-    // per run from a side RNG stream so enabling them never perturbs the
-    // in-simulation fault schedule above, and neither ever changes
-    // simulated results: the dispatch exception aborts the run before any
-    // work, and the hang burns wall-clock time only.
-
-    /** P(the worker job throws a plain std::exception at dispatch, before
-     * the first simulated cycle) — exercises the WorkerException capture
-     * and retry paths. */
-    double workerExceptionProb = 0.0;
-
-    /** P(the run hangs at dispatch) — the run loop busy-waits in
-     * jobHangSliceMs slices until its cancel token fires or jobHangMaxMs
-     * elapse, then continues normally. Exercises deadline enforcement:
-     * with a JobGuard timeout the run dies with Timeout; without one it
-     * completes with bit-identical results after the stall. */
-    double jobHangProb = 0.0;
-
-    /** Sleep granularity of an injected hang (cancel-poll interval). */
-    double jobHangSliceMs = 1.0;
-
-    /** Upper bound on an injected hang so unguarded runs always finish. */
-    double jobHangMaxMs = 2000.0;
-
     bool enabled() const { return seed != 0; }
-
-    /** True when either host-level (dispatch-time) fault site is armed. */
-    bool
-    hostFaultsArmed() const
-    {
-        return enabled() && (workerExceptionProb > 0.0 || jobHangProb > 0.0);
-    }
 };
 
 struct VerifyConfig
@@ -153,9 +98,8 @@ struct VerifyConfig
 
     /**
      * Cooperative cancellation token, polled once per run-loop iteration.
-     * Null (the default) disables the check. Installed per attempt by the
-     * JobGuard deadline monitor; runtime-only, excluded from config
-     * fingerprints.
+     * Null (the default) disables the check. Installed per job by the
+     * JobGuard; runtime-only, excluded from config fingerprints.
      */
     std::shared_ptr<CancelToken> cancel;
 };

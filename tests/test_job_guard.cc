@@ -1,215 +1,100 @@
 /**
  * @file
- * JobGuard unit tests: the deadline monitor must convert hangs into typed
- * Timeout errors, retries must be bounded and bit-deterministic, only
- * transient error kinds may be retried, and a key that exhausts every
- * attempt must quarantine without poisoning anything else.
+ * JobGuard unit tests: the deadline monitor must turn an overrun into a
+ * typed Timeout error, both for a cooperative body and for a real suite
+ * simulation, and a guarded body runs exactly once with escaping
+ * exceptions captured like on the pool.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 
+#include "core/experiment.hh"
 #include "core/job_guard.hh"
 #include "core/simulator.hh"
-#include "ref/kernel_gen.hh"
-#include "verify/chaos.hh"
+#include "workloads/suite.hh"
 
 namespace finereg
 {
 namespace
 {
 
-/** An attempt body that blocks until its cancel token fires (or a safety
- * deadline passes) and reports how it was cancelled. */
+/** A body that blocks until its cancel token fires (or a safety deadline
+ * passes) and reports whether it was timed out. */
 SimResult
 cooperativeHang(const std::shared_ptr<CancelToken> &cancel)
 {
     const auto safety =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (!cancel->cancelled() &&
+    while (!cancel->expired() &&
            std::chrono::steady_clock::now() < safety) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     SimResult out;
     out.failed = true;
-    out.error.kind = cancel->reason() == CancelToken::kTimeout
-                         ? SimErrorKind::Timeout
-                         : SimErrorKind::Cancelled;
-    out.failureReason = "cancelled cooperatively";
+    out.error.kind = cancel->expired() ? SimErrorKind::Timeout
+                                       : SimErrorKind::WorkerException;
+    out.failureReason = "stopped cooperatively";
     return out;
 }
 
 TEST(JobGuard, DeadlineTripsTypedTimeout)
 {
-    GuardOptions options;
-    options.jobTimeoutMs = 25.0;
-    options.retries = 0;
-    JobGuard guard(options);
+    JobGuard guard(/*job_timeout_ms=*/25.0);
 
-    const SimResult r = guard.runGuarded(
-        "job-timeout",
-        [](unsigned, std::shared_ptr<CancelToken> cancel) {
-            return cooperativeHang(cancel);
-        });
+    const SimResult r = guard.wrap(cooperativeHang)();
 
     EXPECT_TRUE(r.failed);
     EXPECT_EQ(r.error.kind, SimErrorKind::Timeout);
-    EXPECT_EQ(r.attempts, 1u);
-    EXPECT_GE(guard.stats().timeouts, 1u);
+    EXPECT_EQ(guard.timeouts(), 1u);
 }
 
-TEST(JobGuard, RetriedRunIsBitIdenticalToCleanRun)
+TEST(JobGuard, DeadlineStopsARealSuiteRun)
 {
-    // A retry rebuilds the Gpu from the same config, so the result after
-    // a transient attempt-0 failure must match an unguarded run exactly.
+    // FineReg on BF at full scale runs far longer than 20 ms, so the
+    // monitor trips the token mid-run and Gpu::run must stop at its next
+    // loop iteration with a typed Timeout and a stall diagnostic.
     std::shared_ptr<const Kernel> kernel =
-        generateKernelSpec(0xa11ce).build();
-    GpuConfig config = GpuConfig::gtx980();
-    config.numSms = 2;
-    config.policy.kind = PolicyKind::FineReg;
+        Suite::makeKernel(Suite::byName("BF"), 1.0);
+    const GpuConfig config = Experiment::configFor(PolicyKind::FineReg);
+    JobGuard guard(/*job_timeout_ms=*/20.0);
 
-    const SimResult clean = Simulator::run(config, *kernel);
-    ASSERT_FALSE(clean.failed) << clean.failureReason;
+    const auto start = std::chrono::steady_clock::now();
+    const SimResult r =
+        guard.wrap([&](std::shared_ptr<CancelToken> cancel) {
+            GpuConfig cfg = config;
+            cfg.verify.cancel = std::move(cancel);
+            return Simulator::run(cfg, *kernel);
+        })();
+    const auto elapsed = std::chrono::steady_clock::now() - start;
 
-    GuardOptions options;
-    options.retries = 2;
-    options.backoffBaseMs = 0.1;
-    options.backoffMaxMs = 0.5;
-    JobGuard guard(options);
-
-    const SimResult retried = guard.runGuarded(
-        "job-retry",
-        [&](unsigned attempt, std::shared_ptr<CancelToken>) -> SimResult {
-            if (attempt == 0)
-                throw std::runtime_error("injected dispatch fault");
-            return Simulator::run(config, *kernel);
-        });
-
-    ASSERT_FALSE(retried.failed) << retried.failureReason;
-    EXPECT_EQ(retried.attempts, 2u);
-    EXPECT_EQ(compareSimResults(clean, retried), "");
-    EXPECT_GE(guard.stats().retriesScheduled, 1u);
+    ASSERT_TRUE(r.failed);
+    EXPECT_EQ(r.error.kind, SimErrorKind::Timeout) << r.failureReason;
+    EXPECT_FALSE(r.error.diagnostic.empty());
+    EXPECT_EQ(guard.timeouts(), 1u);
+    EXPECT_LT(elapsed, std::chrono::seconds(30));
 }
 
-TEST(JobGuard, ExhaustionQuarantinesAndSkipsLaterSubmissions)
+TEST(JobGuard, BodyRunsOnceAndExceptionsBecomeFailedResults)
 {
-    GuardOptions options;
-    options.retries = 1;
-    options.backoffBaseMs = 0.1;
-    options.backoffMaxMs = 0.5;
-    JobGuard guard(options);
-
+    // No deadline: the token is installed but never trips.
+    JobGuard guard;
     unsigned calls = 0;
-    const auto poisoned =
-        [&calls](unsigned, std::shared_ptr<CancelToken>) -> SimResult {
-        ++calls;
-        throw std::runtime_error("poisoned cell");
-    };
-
-    const SimResult first = guard.runGuarded("job-poison", poisoned);
-    EXPECT_TRUE(first.failed);
-    EXPECT_EQ(first.error.kind, SimErrorKind::RetriesExhausted);
-    EXPECT_EQ(first.attempts, 2u);
-    EXPECT_NE(first.error.message.find("job-poison"), std::string::npos);
-    EXPECT_TRUE(guard.isQuarantined("job-poison"));
-    ASSERT_EQ(guard.quarantined().size(), 1u);
-    EXPECT_EQ(guard.quarantined()[0].lastError.kind,
-              SimErrorKind::WorkerException);
-
-    // The same key again: skipped outright, the attempt never runs.
-    const SimResult second = guard.runGuarded("job-poison", poisoned);
-    EXPECT_TRUE(second.failed);
-    EXPECT_EQ(second.error.kind, SimErrorKind::Quarantined);
-    EXPECT_EQ(second.attempts, 0u);
-    EXPECT_EQ(calls, 2u);
-    EXPECT_EQ(guard.stats().quarantineSkips, 1u);
-
-    // A different key is unaffected.
-    EXPECT_FALSE(guard.isQuarantined("job-healthy"));
-}
-
-TEST(JobGuard, DeterministicErrorsAreNotRetried)
-{
-    GuardOptions options;
-    options.retries = 3;
-    JobGuard guard(options);
-
-    unsigned calls = 0;
-    const SimResult r = guard.runGuarded(
-        "job-config", [&](unsigned, std::shared_ptr<CancelToken>) {
+    const SimResult r =
+        guard.wrap([&](std::shared_ptr<CancelToken> cancel) -> SimResult {
             ++calls;
-            SimResult out;
-            out.failed = true;
-            out.error.kind = SimErrorKind::Config;
-            out.error.message = "illegal configuration";
-            out.failureReason = out.error.message;
-            return out;
-        });
+            EXPECT_NE(cancel, nullptr);
+            throw std::runtime_error("body failed");
+        })();
 
-    // A deterministic error reproduces bit-exactly; retrying it would
-    // burn three more attempts for the same answer.
-    EXPECT_TRUE(r.failed);
-    EXPECT_EQ(r.error.kind, SimErrorKind::Config);
-    EXPECT_EQ(r.attempts, 1u);
     EXPECT_EQ(calls, 1u);
-    EXPECT_TRUE(guard.isQuarantined("job-config"));
-}
-
-TEST(JobGuard, ExternallyCancelledJobsAreNotQuarantined)
-{
-    // A kill is an external decision, not a job defect: a resumed sweep
-    // must re-run the job, so it may never land on the quarantine list.
-    GuardOptions options;
-    options.retries = 2;
-    JobGuard guard(options);
-
-    const SimResult r = guard.runGuarded(
-        "job-killed-externally", [](unsigned, std::shared_ptr<CancelToken>) {
-            SimResult out;
-            out.failed = true;
-            out.error.kind = SimErrorKind::Cancelled;
-            return out;
-        });
-
     EXPECT_TRUE(r.failed);
-    EXPECT_EQ(r.error.kind, SimErrorKind::Cancelled);
-    EXPECT_EQ(r.attempts, 1u);
-    EXPECT_FALSE(guard.isQuarantined("job-killed-externally"));
-}
-
-TEST(JobGuard, KillAllCancelsInflightAttempts)
-{
-    GuardOptions options;
-    options.jobTimeoutMs = 60000.0; // registers the token; never expires
-    options.retries = 2;
-    JobGuard guard(options);
-
-    std::atomic<bool> running{false};
-    SimResult r;
-    std::thread worker([&] {
-        r = guard.runGuarded(
-            "job-killed", [&](unsigned, std::shared_ptr<CancelToken> cancel) {
-                running.store(true);
-                return cooperativeHang(cancel);
-            });
-    });
-
-    // The token is registered with the monitor before the attempt body
-    // runs, so once the body reports in, killAll() is guaranteed to see it.
-    while (!running.load())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    guard.killAll();
-    worker.join();
-
-    EXPECT_TRUE(r.failed);
-    EXPECT_EQ(r.error.kind, SimErrorKind::Cancelled);
-    EXPECT_EQ(r.attempts, 1u); // kills are not retried
-    EXPECT_FALSE(guard.isQuarantined("job-killed"));
+    EXPECT_EQ(r.error.kind, SimErrorKind::WorkerException);
+    EXPECT_EQ(guard.timeouts(), 0u);
 }
 
 } // namespace

@@ -2,12 +2,15 @@
  * @file
  * SweepJournal unit tests: content-addressed keys, bit-exact JSON
  * round-trips (every double through %.17g), append/reload with
- * latest-entry-wins, torn-line tolerance, stale-version rejection, and
- * journal-backed replay through Experiment::makeGuardedJob.
+ * latest-entry-wins, torn-line tolerance, stale-version rejection,
+ * journal-backed replay through Experiment::makeGuardedJob, and a sweep
+ * that is stopped part-way and resumed to results bit-identical with a
+ * clean run.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -16,8 +19,8 @@
 #include "core/experiment.hh"
 #include "core/simulator.hh"
 #include "core/sweep_journal.hh"
+#include "compare_results.hh"
 #include "ref/kernel_gen.hh"
-#include "verify/chaos.hh"
 #include "workloads/suite.hh"
 
 namespace finereg
@@ -59,9 +62,8 @@ TEST(SweepJournal, KeyIsContentAddressed)
 
 TEST(SweepJournal, RuntimeOnlyKnobsDoNotChangeTheKey)
 {
-    // The cancel token and the host-level fault sites never change
-    // simulated results, so the chaos/retry machinery may flip them per
-    // attempt without losing the job's resume identity.
+    // The cancel token never changes simulated results, so installing one
+    // per job must not change the job's resume identity.
     const auto kernel = generateKernelSpec(0xbeef).build();
     GpuConfig config = GpuConfig::gtx980();
     config.policy.kind = PolicyKind::FineReg;
@@ -69,9 +71,7 @@ TEST(SweepJournal, RuntimeOnlyKnobsDoNotChangeTheKey)
 
     GpuConfig armed = config;
     armed.verify.cancel = std::make_shared<CancelToken>();
-    armed.verify.fault.workerExceptionProb = 1.0;
-    armed.verify.fault.jobHangProb = 0.5;
-    armed.verify.fault.jobHangMaxMs = 123.0;
+    armed.verify.cancel->expire();
     EXPECT_EQ(base, makeSweepJobKey(*kernel, armed).toString());
 
     // The in-simulation fault schedule DOES affect results, so it is part
@@ -116,16 +116,14 @@ TEST(SweepJournal, FailedEntryPreservesErrorKindAndMessage)
     entry.app = "BF";
     entry.status = "failed";
     entry.result.failed = true;
-    entry.result.attempts = 3;
     entry.result.error.kind = SimErrorKind::Timeout;
     entry.result.error.message =
-        "deadline \"exceeded\"\n\tafter 500 ms \\ attempt 3";
+        "deadline \"exceeded\"\n\tafter 500 ms \\ cycle 3";
 
     const auto parsed = journalEntryFromJson(journalEntryToJson(entry));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_FALSE(parsed->ok());
     EXPECT_TRUE(parsed->result.failed);
-    EXPECT_EQ(parsed->result.attempts, 3u);
     EXPECT_EQ(parsed->result.error.kind, SimErrorKind::Timeout);
     EXPECT_EQ(parsed->result.error.message, entry.result.error.message);
 }
@@ -261,11 +259,86 @@ TEST(SweepJournal, GuardedJobsReplayBitIdenticallyOnResume)
     auto journal = SweepJournal::open(path, error);
     ASSERT_NE(journal, nullptr) << error;
     JobGuard guard;
+    unsigned runs = 0;
     const SimResult replayed = Experiment::makeGuardedJob(
-        kernel, config, "BF", key, guard, journal.get())();
+        kernel, config, "BF", key, guard, journal.get(),
+        [&runs](GpuConfig &, const std::string &, unsigned) { ++runs; })();
     EXPECT_TRUE(replayed.fromJournal);
     EXPECT_EQ(compareSimResults(fresh, replayed), "");
-    EXPECT_EQ(guard.stats().attemptsStarted, 0u);
+    EXPECT_EQ(runs, 0u);
+    std::remove(path.c_str());
+}
+
+TEST(SweepJournal, StoppedSweepResumesToCleanResults)
+{
+    // Kill a journaled two-worker sweep once a few cells have started:
+    // the cells that started finish and are journaled, the pending ones
+    // come back Cancelled. A second run over the reopened journal must
+    // replay the finished cells, simulate only the rest, and end with
+    // every cell bit-identical to a clean unjournaled sweep.
+    const std::string path = tempPath("journal_stop_resume.sweep.jsonl");
+    std::remove(path.c_str());
+    constexpr double kScale = 0.02;
+    constexpr unsigned kStartsBeforeStop = 5;
+    const std::vector<GpuConfig> configs{
+        Experiment::configFor(PolicyKind::FineReg)};
+    const std::size_t cells = Suite::all().size();
+
+    const auto clean = Experiment::runSweep(configs, kScale, /*jobs=*/1);
+
+    std::string error;
+    GuardedSweepOutcome stopped;
+    std::atomic<unsigned> first_starts{0};
+    {
+        auto journal = SweepJournal::open(path, error);
+        ASSERT_NE(journal, nullptr) << error;
+        auto stop = std::make_shared<std::atomic<bool>>(false);
+        GuardedSweepOptions sweep;
+        sweep.gridScale = kScale;
+        sweep.jobs = 2;
+        sweep.journal = journal.get();
+        sweep.stop = stop;
+        sweep.perAttempt = [&](GpuConfig &, const std::string &, unsigned) {
+            if (first_starts.fetch_add(1) + 1 >= kStartsBeforeStop)
+                stop->store(true);
+        };
+        stopped = Experiment::runGuardedSweep(configs, sweep);
+        EXPECT_EQ(journal->size(), stopped.executed);
+    }
+    // The other worker may already be past its stop check when the flag
+    // is set, so one extra cell can start.
+    EXPECT_GE(stopped.executed, kStartsBeforeStop);
+    EXPECT_LE(stopped.executed, kStartsBeforeStop + 1);
+    EXPECT_EQ(stopped.executed, first_starts.load());
+    EXPECT_EQ(stopped.replayed, 0u);
+    EXPECT_EQ(stopped.cancelled, cells - stopped.executed);
+    EXPECT_EQ(stopped.failed, stopped.cancelled);
+
+    auto journal = SweepJournal::open(path, error);
+    ASSERT_NE(journal, nullptr) << error;
+    EXPECT_EQ(journal->completedCount(), stopped.executed);
+    std::atomic<unsigned> second_starts{0};
+    GuardedSweepOptions sweep;
+    sweep.gridScale = kScale;
+    sweep.jobs = 2;
+    sweep.journal = journal.get();
+    sweep.perAttempt = [&](GpuConfig &, const std::string &, unsigned) {
+        second_starts.fetch_add(1);
+    };
+    const GuardedSweepOutcome resumed =
+        Experiment::runGuardedSweep(configs, sweep);
+
+    EXPECT_TRUE(resumed.allOk());
+    EXPECT_EQ(resumed.replayed, stopped.executed);
+    EXPECT_EQ(resumed.executed, cells - stopped.executed);
+    EXPECT_EQ(second_starts.load(), cells - stopped.executed);
+    for (std::size_t a = 0; a < cells; ++a) {
+        const SimResult &first = stopped.results[0][a];
+        const SimResult &got = resumed.results[0][a];
+        EXPECT_EQ(got.fromJournal, !first.failed) << Suite::all()[a].abbrev;
+        EXPECT_EQ(compareSimResults(got, clean[0][a]), "")
+            << Suite::all()[a].abbrev;
+    }
     std::remove(path.c_str());
 }
 

@@ -38,9 +38,8 @@ struct BenchOptions
     std::vector<PolicyKind> policies{PolicyKind::Baseline,
                                      PolicyKind::FineReg};
 
-    // Resilience knobs (JobGuard + SweepJournal).
+    // Deadline and resume knobs (JobGuard + SweepJournal).
     double jobTimeoutMs = 0.0;
-    unsigned retries = 0;
     std::string resumePath;
 };
 
@@ -57,7 +56,6 @@ const char *kUsage =
     "                    hardware threads)\n"
     "  --fail-fast       cancel pending runs after the first failure\n"
     "  --job-timeout-ms MS  per-run wall-clock deadline (0 = off)\n"
-    "  --retries N       retry budget for transient run failures\n"
     "  --resume FILE     journal completed runs to FILE and replay runs\n"
     "                    already recorded there (wall_ms excepted, the\n"
     "                    resumed JSON is bit-identical)\n"
@@ -179,10 +177,7 @@ runBench(const BenchOptions &options)
                      journal->path().c_str(), journal->size(),
                      journal->completedCount());
     }
-    GuardOptions guard_options;
-    guard_options.jobTimeoutMs = options.jobTimeoutMs;
-    guard_options.retries = options.retries;
-    JobGuard guard(guard_options);
+    JobGuard guard(options.jobTimeoutMs);
 
     // Policy-major matrix so results[p * napps + a] = (policy p, app a).
     // Kernels are built once per app and shared across policies.
@@ -448,14 +443,6 @@ main(int argc, char **argv)
                 return 2;
             }
             options.jobTimeoutMs = std::atof(v);
-        } else if (arg == "--retries") {
-            const char *v = value();
-            if (!v || std::atoi(v) < 0) {
-                std::fprintf(stderr,
-                             "error: --retries needs a value >= 0\n");
-                return 2;
-            }
-            options.retries = static_cast<unsigned>(std::atoi(v));
         } else if (arg == "--resume") {
             const char *v = value();
             if (!v) {

@@ -155,7 +155,6 @@ reproCommand(const std::vector<std::string> &args, const std::string &app,
 enum FailClass : int
 {
     kFailNone = 0,
-    kFailQuarantined, ///< Only quarantine skips: partial success.
     kFailTimeout,     ///< Deadline expiries but no harder errors.
     kFailSimError,    ///< Typed simulation error or cycle-cap overrun.
 };
@@ -182,13 +181,7 @@ run(const CliOptions &options, const std::vector<std::string> &args)
                      journal->completedCount());
     }
 
-    GuardOptions guard_options;
-    guard_options.jobTimeoutMs = options.jobTimeoutMs;
-    guard_options.retries = options.retries;
-    guard_options.backoffBaseMs = options.retryBackoffMs;
-    guard_options.backoffMaxMs =
-        std::max(guard_options.backoffMaxMs, options.retryBackoffMs);
-    JobGuard guard(guard_options);
+    JobGuard guard(options.jobTimeoutMs);
 
     if (options.csv) {
         std::printf("app,policy,cycles,instructions,ipc,resident_ctas,"
@@ -200,8 +193,9 @@ run(const CliOptions &options, const std::vector<std::string> &args)
 
     // Fan the (app, policy) matrix across the parallel runner; results come
     // back in submission order, so the report below is identical to the
-    // old serial loop. Every job runs under the guard (a passthrough with
-    // the default knobs) and through the journal when --resume was given.
+    // old serial loop. Every job runs under the guard (a passthrough
+    // without --job-timeout-ms) and through the journal when --resume was
+    // given.
     std::vector<ParallelRunner::Job> matrix;
     matrix.reserve(apps.size() * options.policies.size());
     for (const std::string &app : apps) {
@@ -238,11 +232,9 @@ run(const CliOptions &options, const std::vector<std::string> &args)
             if (r.fromJournal)
                 ++replayed;
             if (r.failed) {
-                FailClass cls = kFailSimError;
-                if (r.error.kind == SimErrorKind::Timeout)
-                    cls = kFailTimeout;
-                else if (r.error.kind == SimErrorKind::Quarantined)
-                    cls = kFailQuarantined;
+                const FailClass cls = r.error.kind == SimErrorKind::Timeout
+                                          ? kFailTimeout
+                                          : kFailSimError;
                 failures.push_back({app, kind, cls});
                 worst = std::max(worst, cls);
                 std::fprintf(stderr, "error: %s/%s failed: %s\n",
@@ -319,11 +311,10 @@ run(const CliOptions &options, const std::vector<std::string> &args)
     }
 
     // Exit codes (most severe failure wins): 0 all good, 1 simulation
-    // error or cycle-cap overrun, 3 wall-clock timeout, 4 quarantined
-    // cells only (partial success). 2 is reserved for usage errors.
+    // error or cycle-cap overrun, 3 wall-clock timeout. 2 is reserved for
+    // usage errors.
     switch (worst) {
       case kFailNone: return 0;
-      case kFailQuarantined: return 4;
       case kFailTimeout: return 3;
       case kFailSimError: return 1;
     }
