@@ -2,8 +2,8 @@
  * @file
  * Microbenchmarks for the simulator's host-side hot paths (DESIGN.md §14):
  * PCRF chain store/restore through the arena-style free-space monitor,
- * 64-bit RegBitVec word operations, EventWheel push/pop traffic, the
- * warp scheduler's issue pick, and a FineReg tick with no switch partner.
+ * 64-bit RegBitVec word operations, the warp scheduler's issue pick, and a
+ * FineReg tick with no switch partner.
  * Unlike the per-figure bench binaries these are direct google-benchmark
  * loops over the data structures, not full simulator runs — they track
  * constant-factor regressions in the structures the run loop leans on.
@@ -17,7 +17,6 @@
 
 #include "common/bitvec.hh"
 #include "common/stats.hh"
-#include "core/event_wheel.hh"
 #include "isa/kernel_builder.hh"
 #include "regfile/pcrf.hh"
 #include "sm/cta.hh"
@@ -129,49 +128,6 @@ BM_DynBitSetFreelist(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DynBitSetFreelist);
-
-/**
- * EventWheel traffic in the proportions the run loop produces: a burst of
- * near-future schedules per tick (most deduped or absorbed by the
- * immediate-slot fast path), then one beginTick drain.
- */
-void
-BM_EventWheelPushPop(benchmark::State &state)
-{
-    EventWheel wheel;
-    Cycle now = 0;
-    for (auto _ : state) {
-        wheel.beginTick(now);
-        wheel.schedule(now + 1);   // immediate fast path
-        wheel.schedule(now + 4);   // heap push
-        wheel.schedule(now + 4);   // deduped
-        wheel.schedule(now + 190); // long-latency writeback
-        wheel.schedule(now + 190); // deduped
-        Cycle next = wheel.nextEvent();
-        benchmark::DoNotOptimize(next);
-        ++now;
-    }
-    state.SetItemsProcessed(state.iterations() * 5);
-}
-BENCHMARK(BM_EventWheelPushPop);
-
-/** Worst case: all pushes distinct and heap-bound, periodic deep drains. */
-void
-BM_EventWheelHeapStress(benchmark::State &state)
-{
-    EventWheel wheel;
-    Cycle now = 0;
-    for (auto _ : state) {
-        wheel.beginTick(now);
-        for (Cycle d = 2; d < 34; ++d)
-            wheel.schedule(now + d * 3);
-        Cycle next = wheel.nextEvent();
-        benchmark::DoNotOptimize(next);
-        now += 16; // the following beginTick drains roughly a third
-    }
-    state.SetItemsProcessed(state.iterations() * 32);
-}
-BENCHMARK(BM_EventWheelHeapStress);
 
 /**
  * GTO pick over 16 warps (two 8-warp CTAs), range(0) of them awake. The

@@ -214,19 +214,6 @@ parseCliOptions(const std::vector<std::string> &args)
                 return fail("--audit-edge-every must be >= 0");
             options.config.verify.auditEdgeEvery =
                 static_cast<unsigned>(every);
-        } else if (arg == "--idle-skip") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--idle-skip needs wheel, scan, or step");
-            ++i;
-            if (*value == "wheel")
-                options.config.idleSkip = IdleSkipMode::Wheel;
-            else if (*value == "scan")
-                options.config.idleSkip = IdleSkipMode::LegacyScan;
-            else if (*value == "step")
-                options.config.idleSkip = IdleSkipMode::StepEveryCycle;
-            else
-                return fail("--idle-skip must be wheel, scan, or step");
         } else if (arg == "--watchdog-cycles") {
             const auto value = need_value(i, arg);
             if (!value)
@@ -322,10 +309,6 @@ cliUsage()
            "                      edge (0 = auto: every edge in Debug,\n"
            "                      every 64th in Release; interval 1 always\n"
            "                      audits every edge)\n"
-           "  --idle-skip MODE    idle-cycle skipper: wheel (event wheel,\n"
-           "                      default), scan (legacy full scan), or\n"
-           "                      step (step every cycle); all modes are\n"
-           "                      bit-identical\n"
            "  --watchdog-cycles N deadlock watchdog threshold (0 = off,\n"
            "                      default 2000000)\n"
            "  --fault-seed N      enable deterministic fault injection\n"

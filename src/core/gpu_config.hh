@@ -29,19 +29,6 @@ enum class PolicyKind : unsigned char
 
 const char *policyKindName(PolicyKind kind);
 
-/**
- * How Gpu::run advances the clock across ticks where nothing issued.
- * Runtime-only (host wall-clock knob): excluded from config fingerprints
- * like VerifyConfig::cancel, because every mode produces bit-identical
- * simulated end states — the determinism suite pins this.
- */
-enum class IdleSkipMode : unsigned char
-{
-    Wheel,          ///< O(log n) event-wheel skip (default).
-    LegacyScan,     ///< Exact per-warp nextWakeCycle scan.
-    StepEveryCycle, ///< No skipping: advance one cycle at a time.
-};
-
 struct PolicyConfig
 {
     PolicyKind kind = PolicyKind::Baseline;
@@ -140,9 +127,6 @@ struct GpuConfig
 
     /** Hardening knobs: invariant auditor, watchdog, fault injection. */
     VerifyConfig verify{};
-
-    /** Idle-cycle advancement strategy (runtime-only; see IdleSkipMode). */
-    IdleSkipMode idleSkip = IdleSkipMode::Wheel;
 
     /** The paper's Table I setup. */
     static GpuConfig gtx980();

@@ -135,12 +135,7 @@ Simulator::run(const GpuConfig &config_in, const Kernel &kernel,
     // pinned by the metrics above, these only explain wall time).
     out.hostPerf.loopIterations = stats.counterValue("gpu.loop_iterations");
     out.hostPerf.skippedCycles = stats.counterValue("gpu.skipped_cycles");
-    out.hostPerf.wheelPushes = stats.counterValue("gpu.wheel_pushes");
-    out.hostPerf.wheelPops = stats.counterValue("gpu.wheel_pops");
     out.hostPerf.arenaAllocs = stats.counterValue("pcrf.writes");
-    // Each arena slot is one PCRF chain entry: a 128-bit register value
-    // plus tag/next metadata, accounted as 16 B of payload.
-    out.hostPerf.arenaBytes = out.hostPerf.arenaAllocs * 16;
     out.hostPerf.bitvecWordOps = stats.counterValue("rmu.bitvec_word_ops");
     out.hostPerf.fullAudits = stats.counterValue("verify.full_audits");
     out.hostPerf.edgeAudits = stats.counterValue("verify.edge_audits");

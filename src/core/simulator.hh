@@ -75,19 +75,22 @@ struct SimResult
      * Host-side performance counters: where the simulator's own wall
      * time went, not simulated behaviour. All informational — none of
      * these affect simulated cycles, and bench_diff.py ignores them when
-     * comparing against goldens.
+     * comparing against goldens. They are deterministic, so the sweep
+     * journal records them and a resumed sweep replays them.
      */
     struct HostPerf
     {
         std::uint64_t loopIterations = 0; ///< Run-loop ticks executed.
-        std::uint64_t skippedCycles = 0;  ///< Cycles the event wheel skipped.
-        std::uint64_t wheelPushes = 0;    ///< EventWheel schedule() announcements.
-        std::uint64_t wheelPops = 0;      ///< EventWheel heap drains.
+        std::uint64_t skippedCycles = 0;  ///< Idle cycles jumped over.
         std::uint64_t arenaAllocs = 0;    ///< PCRF chain-entry writes (arena slots).
-        std::uint64_t arenaBytes = 0;     ///< Modelled bytes through the arena.
         std::uint64_t bitvecWordOps = 0;  ///< 64-bit bitvector word operations.
         std::uint64_t fullAudits = 0;     ///< Periodic full-state audit invocations.
         std::uint64_t edgeAudits = 0;     ///< State-transition-edge audit invocations.
+
+        /** Modelled bytes through the arena. Each arena slot is one PCRF
+         * chain entry: a 128-bit register value plus tag/next metadata,
+         * accounted as 16 B of payload. */
+        std::uint64_t arenaBytes() const { return arenaAllocs * 16; }
     };
     HostPerf hostPerf;
 

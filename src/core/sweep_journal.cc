@@ -409,6 +409,12 @@ journalEntryToJson(const JournalEntry &entry)
         << ",\"energy_finereg\":" << fmtDouble(r.energy.fineregOverhead)
         << ",\"energy_cta_switching\":" << fmtDouble(r.energy.ctaSwitching)
         << ",\"policy_storage_bits\":" << r.policyStorageBits
+        << ",\"loop_iterations\":" << r.hostPerf.loopIterations
+        << ",\"skipped_cycles\":" << r.hostPerf.skippedCycles
+        << ",\"arena_allocs\":" << r.hostPerf.arenaAllocs
+        << ",\"bitvec_word_ops\":" << r.hostPerf.bitvecWordOps
+        << ",\"full_audits\":" << r.hostPerf.fullAudits
+        << ",\"edge_audits\":" << r.hostPerf.edgeAudits
         << ",\"failed\":" << (r.failed ? "true" : "false")
         << ",\"error_kind\":\"" << simErrorKindName(r.error.kind) << '"'
         << ",\"error_message\":\"" << escape(r.error.message) << "\"}";
@@ -459,6 +465,14 @@ journalEntryFromJson(const std::string &line)
     r.energy.fineregOverhead = getDouble(m, "energy_finereg");
     r.energy.ctaSwitching = getDouble(m, "energy_cta_switching");
     r.policyStorageBits = getU64(m, "policy_storage_bits");
+    // Host counters are deterministic too; entries written before they
+    // were journaled load them as 0.
+    r.hostPerf.loopIterations = getU64(m, "loop_iterations");
+    r.hostPerf.skippedCycles = getU64(m, "skipped_cycles");
+    r.hostPerf.arenaAllocs = getU64(m, "arena_allocs");
+    r.hostPerf.bitvecWordOps = getU64(m, "bitvec_word_ops");
+    r.hostPerf.fullAudits = getU64(m, "full_audits");
+    r.hostPerf.edgeAudits = getU64(m, "edge_audits");
     r.failed = getBool(m, "failed");
     r.error.kind = parseErrorKind(getString(m, "error_kind"));
     r.error.message = getString(m, "error_message");

@@ -53,6 +53,8 @@ class Policy
     /**
      * Earliest future cycle at which this policy wants a tick on @p sm
      * (pending-CTA readiness, switch completions). kNoCycle when none.
+     * Every decision input that changes with time alone must be reported
+     * here: when no warp issues, Gpu::run jumps straight to this cycle.
      */
     virtual Cycle nextEventCycle(const Sm &sm, Cycle now) const;
 

@@ -255,9 +255,12 @@ Cycle
 RegDramPolicy::nextEventCycle(const Sm &sm, Cycle now) const
 {
     Cycle next = VirtualThreadPolicy::nextEventCycle(sm, now);
-    const PendingReadySet &in_dram = dram(sm).inDram;
-    if (!in_dram.empty())
-        next = std::min(next, std::max(in_dram.minReady(), now + 1));
+    const DramState &ds = dram(sm);
+    if (!ds.inDram.empty())
+        next = std::min(next, std::max(ds.inDram.minReady(), now + 1));
+    // The demotion budget reopens the DRAM-tier partner at this cycle.
+    if (ds.nextDemoteAllowed > now)
+        next = std::min(next, ds.nextDemoteAllowed);
     return next;
 }
 

@@ -43,10 +43,6 @@ Gpu::Gpu(const GpuConfig &config, const Kernel &kernel,
         sms_.back()->enableUsageTracking(config_.usageTracking);
         sms_.back()->enableStallProbe(config_.stallProbe);
         sms_.back()->enableValueTracking(config_.trackValues);
-        // Scan/step modes reproduce the pre-wheel path exactly: no unit
-        // announces events, so the wheel stays empty and free.
-        if (config_.idleSkip == IdleSkipMode::Wheel)
-            sms_.back()->setEventWheel(&wheel_);
     }
     if (config_.trackValues) {
         archState_ = std::make_shared<ArchState>();
@@ -73,7 +69,6 @@ Gpu::run()
     const unsigned edge_period =
         auditor.edgeSamplePeriod(config_.verify.auditEdgeEvery);
     std::uint64_t edges_seen = 0;
-    const bool use_wheel = config_.idleSkip == IdleSkipMode::Wheel;
 
     const std::shared_ptr<CancelToken> &cancel = config_.verify.cancel;
 
@@ -99,11 +94,6 @@ Gpu::run()
                 buildStallDiagnostic(*this, now_, watchdog.lastProgress());
             break;
         }
-
-        // Discard wake events at or before this cycle: the tick below
-        // observes the state they announced, so only future events matter.
-        if (use_wheel)
-            wheel_.beginTick(now_);
 
         unsigned issued = 0;
         for (auto &sm : sms_)
@@ -159,35 +149,12 @@ Gpu::run()
         // Decide how far to advance.
         Cycle next = now_ + 1;
         if (issued == 0) {
+            // Nothing issued: jump to the earliest cycle at which a warp
+            // or the policy can act again (DESIGN.md §14, "Idle skip").
             Cycle wake = kNoCycle;
-            if (use_wheel) {
-                // Every scan-visible wake was announced to the wheel when
-                // it was recorded, so the wheel's earliest future event is
-                // never later than the scan's answer; extra (stale) wheel
-                // events only cause harmless no-op ticks.
-                wake = wheel_.nextEvent();
-                for (auto &sm : sms_)
-                    wake = std::min(wake,
-                                    policy_->nextEventCycle(*sm, now_));
-#ifndef NDEBUG
-                Cycle scan = kNoCycle;
-                for (auto &sm : sms_) {
-                    scan = std::min(scan, sm->nextWakeCycle(now_));
-                    scan = std::min(scan,
-                                    policy_->nextEventCycle(*sm, now_));
-                }
-                if (scan != kNoCycle && wake > scan) {
-                    FINEREG_PANIC("event wheel missed a wake: wheel says ",
-                                  wake, " but a scan finds ", scan,
-                                  " at cycle ", now_);
-                }
-#endif
-            } else {
-                for (auto &sm : sms_) {
-                    wake = std::min(wake, sm->nextWakeCycle(now_));
-                    wake = std::min(wake,
-                                    policy_->nextEventCycle(*sm, now_));
-                }
+            for (auto &sm : sms_) {
+                wake = std::min(wake, sm->nextWakeCycle(now_));
+                wake = std::min(wake, policy_->nextEventCycle(*sm, now_));
             }
             if (wake == kNoCycle) {
                 // No scheduled event: advance conservatively; the policy
@@ -204,15 +171,7 @@ Gpu::run()
                                              watchdog.lastProgress()));
                 }
             } else {
-                // StepEveryCycle is the reference mode: a scheduled wake
-                // exists, but advance a single cycle anyway so every tick
-                // runs. (The no-event 1000-cycle jump above is kept in all
-                // modes — stepping it by 1 would defeat deadlock
-                // detection.)
-                if (config_.idleSkip == IdleSkipMode::StepEveryCycle)
-                    next = now_ + 1;
-                else
-                    next = std::max(now_ + 1, wake);
+                next = std::max(now_ + 1, wake);
                 idle_streak = 0;
             }
         } else {
@@ -234,9 +193,6 @@ Gpu::run()
         skippedCycles_->inc(delta - 1);
         now_ = next;
     }
-
-    stats_.counter("gpu.wheel_pushes").inc(wheel_.pushes());
-    stats_.counter("gpu.wheel_pops").inc(wheel_.pops());
 
     result.cycles = now_;
     result.completedCtas = dispatcher_.completed();

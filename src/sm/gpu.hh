@@ -16,7 +16,6 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "core/event_wheel.hh"
 #include "core/gpu_config.hh"
 #include "mem/mem_hierarchy.hh"
 #include "policies/policy.hh"
@@ -94,7 +93,6 @@ class Gpu
     std::unique_ptr<FaultInjector> fault_;
     std::unique_ptr<Policy> policy_;
     std::shared_ptr<ArchState> archState_;
-    EventWheel wheel_;
     Cycle now_ = 0;
 
     Counter *cyclesCtr_;

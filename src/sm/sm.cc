@@ -130,10 +130,8 @@ Sm::launchCta(GridCtaId grid_id, Cycle now)
     activeLiveWarps_ += kernel.warpsPerCta();
     stateEdge_ = true;
 
-    for (auto &warp : raw->warps()) {
-        warp->bindEventWheel(wheel_);
+    for (auto &warp : raw->warps())
         warp->setEarliestIssue(now + 1);
-    }
     addWarpToSchedulers(*raw);
     raw->startExecutionEpisode(now);
     return raw;
@@ -366,7 +364,6 @@ Sm::issueInstr(Warp &warp, Cycle now)
             warp.scoreboard().recordWrite(
                 static_cast<RegIndex>(instr.dst), now + config_.aluLatency,
                 false);
-            scheduleWake(now + config_.aluLatency);
         }
         warp.setPc(warp.pc() + kInstrBytes);
         break;
@@ -377,7 +374,6 @@ Sm::issueInstr(Warp &warp, Cycle now)
             warp.scoreboard().recordWrite(
                 static_cast<RegIndex>(instr.dst), now + config_.sfuLatency,
                 false);
-            scheduleWake(now + config_.sfuLatency);
         }
         warp.setPc(warp.pc() + kInstrBytes);
         break;
@@ -444,7 +440,6 @@ Sm::execMemory(Warp &warp, const Instruction &instr, Cycle now)
             warp.scoreboard().recordWrite(
                 static_cast<RegIndex>(instr.dst),
                 now + config_.sharedLatency, false);
-            scheduleWake(now + config_.sharedLatency);
         }
         return;
     }
@@ -467,7 +462,6 @@ Sm::execMemory(Warp &warp, const Instruction &instr, Cycle now)
     if (isLoad(instr.op) && instr.dst >= 0) {
         warp.scoreboard().recordWrite(static_cast<RegIndex>(instr.dst),
                                       result.completeCycle, true);
-        scheduleWake(result.completeCycle);
     }
 }
 
@@ -491,11 +485,6 @@ Sm::finishWarp(Warp &warp, Cycle now)
     }
     cta->noteWarpFinished();
     --activeLiveWarps_; // finishing warps are always on an Active CTA
-    if (wheel_) {
-        // Retire chains (further pastEnd warps, released barriers, the
-        // policy reacting to a finished CTA) need a tick right after.
-        wheel_->schedule(now + 1);
-    }
 
     // A warp leaving can release a barrier the rest of the CTA waits on.
     if (!cta->allWarpsFinished()) {

@@ -18,7 +18,6 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "core/event_wheel.hh"
 #include "mem/mem_hierarchy.hh"
 #include "sm/cta.hh"
 #include "sm/kernel_context.hh"
@@ -187,13 +186,6 @@ class Sm
     StatGroup &stats() { return *stats_; }
 
     /**
-     * Attach the Gpu's idle-skip event wheel. Warps are bound at launch;
-     * the SM itself announces scoreboard writeback completions and retire
-     * chains.
-     */
-    void setEventWheel(EventWheel *wheel) { wheel_ = wheel; }
-
-    /**
      * True when a CTA state transition (launch, suspend, resume, whole-CTA
      * finish) happened since the last call; consumed by the sampled
      * invariant auditor to audit every transition edge.
@@ -226,12 +218,6 @@ class Sm
                            config_.numSchedulers];
     }
 
-    void
-    scheduleWake(Cycle cycle)
-    {
-        if (wheel_)
-            wheel_->schedule(cycle);
-    }
     void trackUsage(const Warp &warp, const Instruction &instr);
     void checkStallEpisodes(Cycle now);
 
@@ -261,7 +247,6 @@ class Sm
     std::uint64_t shmemUsed_ = 0;
     unsigned launchSeq_ = 0;
     bool stateEdge_ = false;
-    EventWheel *wheel_ = nullptr;
 
     unsigned memIssuedThisCycle_ = 0;
     unsigned issuedLastTick_ = 0;

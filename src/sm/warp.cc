@@ -15,8 +15,6 @@ Warp::setEarliestIssue(Cycle c)
     earliestIssue_ = std::max(earliestIssue_, c);
     wakeHint_ = 0;
     cta_->invalidateStallCache();
-    if (wheel_)
-        wheel_->schedule(c);
 }
 
 Warp::Warp(Cta *cta, WarpId id, const KernelContext &context,

@@ -14,7 +14,6 @@
 
 #include "common/rng.hh"
 #include "common/types.hh"
-#include "core/event_wheel.hh"
 #include "sm/kernel_context.hh"
 #include "sm/scoreboard.hh"
 
@@ -90,10 +89,9 @@ class Warp
     Scoreboard &scoreboard() { return scoreboard_; }
     const Scoreboard &scoreboard() const { return scoreboard_; }
 
-    /** Earliest cycle the front end may issue from this warp. Announces
-     * the wake to the bound event wheel, clears the wake hint and drops
-     * the parent CTA's stall memo (defined in warp.cc: Cta is incomplete
-     * here). */
+    /** Earliest cycle the front end may issue from this warp. Setting it
+     * clears the wake hint and drops the parent CTA's stall memo (defined
+     * in warp.cc: Cta is incomplete here). */
     Cycle earliestIssue() const { return earliestIssue_; }
     void setEarliestIssue(Cycle c);
 
@@ -106,12 +104,6 @@ class Warp
      */
     Cycle wakeHint() const { return wakeHint_; }
     void setWakeHint(Cycle c) { wakeHint_ = c; }
-
-    /**
-     * Attach the SM's idle-skip event wheel: every earliest-issue update
-     * — the single choke point for warp wake times — is announced to it.
-     */
-    void bindEventWheel(EventWheel *wheel) { wheel_ = wheel; }
 
     bool atBarrier() const { return atBarrier_; }
     void setAtBarrier(bool v) { atBarrier_ = v; }
@@ -158,7 +150,6 @@ class Warp
     Cycle earliestIssue_ = 0;
     Cycle wakeHint_ = 0;
     Cycle lastIssueCycle_ = 0;
-    EventWheel *wheel_ = nullptr;
 
     std::vector<unsigned> loopRemaining_;
     std::vector<std::uint32_t> memExec_;

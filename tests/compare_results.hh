@@ -1,8 +1,8 @@
 /**
  * @file
  * Test-only reference comparator for SimResults: field by field, doubles
- * compared bit for bit, ignoring provenance (fromJournal) and wall-clock
- * artefacts. Used wherever a test asserts that two ways of obtaining a
+ * compared bit for bit, including the deterministic host_perf counters,
+ * ignoring provenance (fromJournal) and wall-clock artefacts. Used wherever a test asserts that two ways of obtaining a
  * result (parallel vs serial, replayed vs simulated) agree exactly.
  */
 
@@ -72,6 +72,12 @@ compareSimResults(const SimResult &a, const SimResult &b)
     FINEREG_CMP_DBL(energy.fineregOverhead)
     FINEREG_CMP_DBL(energy.ctaSwitching)
     FINEREG_CMP_INT(policyStorageBits)
+    FINEREG_CMP_INT(hostPerf.loopIterations)
+    FINEREG_CMP_INT(hostPerf.skippedCycles)
+    FINEREG_CMP_INT(hostPerf.arenaAllocs)
+    FINEREG_CMP_INT(hostPerf.bitvecWordOps)
+    FINEREG_CMP_INT(hostPerf.fullAudits)
+    FINEREG_CMP_INT(hostPerf.edgeAudits)
 
 #undef FINEREG_CMP_INT
 #undef FINEREG_CMP_DBL

@@ -16,6 +16,7 @@
 #include "policies/finereg_policy.hh"
 #include "policies/regmutex_policy.hh"
 #include "sm/gpu.hh"
+#include "stepping_policy.hh"
 #include "verify/sim_error.hh"
 
 namespace finereg
@@ -159,55 +160,6 @@ TEST(FineRegPolicyTest, PcrfHoldsPendingLiveRegisters)
                   0u); // every stored CTA is eventually restored
 }
 
-/** Forwards every hook to a wrapped policy; subclasses observe ticks. */
-class ForwardingPolicy : public Policy
-{
-  public:
-    explicit ForwardingPolicy(std::unique_ptr<Policy> inner)
-        : inner_(std::move(inner))
-    {}
-
-    const char *name() const override { return inner_->name(); }
-
-    void tick(Sm &sm, Cycle now) override { inner_->tick(sm, now); }
-
-    void
-    onCtaFinished(Sm &sm, Cta &cta, Cycle now) override
-    {
-        inner_->onCtaFinished(sm, cta, now);
-    }
-
-    bool
-    rfDepletionBlocked(const Sm &sm, Cycle now) const override
-    {
-        return inner_->rfDepletionBlocked(sm, now);
-    }
-
-    Cycle
-    nextEventCycle(const Sm &sm, Cycle now) const override
-    {
-        return inner_->nextEventCycle(sm, now);
-    }
-
-    std::uint64_t
-    storageOverheadBits() const override
-    {
-        return inner_->storageOverheadBits();
-    }
-
-    void
-    audit(const Sm &sm, Cycle now) const override
-    {
-        inner_->audit(sm, now);
-    }
-
-  protected:
-    void onBind() override { inner_->bind(gpu()); }
-
-  private:
-    std::unique_ptr<Policy> inner_;
-};
-
 /**
  * Plants a stale wake hint on the warps of every pending CTA before each
  * tick. A restore — resumeCta plus FineReg's per-warp PCRF chain wake —
@@ -284,11 +236,14 @@ struct StallTick
     unsigned toDram = 0;
 };
 
-/** Records a StallTick for every tick that starts with a stalled CTA. */
-class SwitchProbe final : public ForwardingPolicy
+/**
+ * Records a StallTick for every tick that starts with a stalled CTA. It
+ * steps every cycle, so the gate is observed on each tick a stall lasts.
+ */
+class SwitchProbe final : public SteppingPolicy
 {
   public:
-    using ForwardingPolicy::ForwardingPolicy;
+    using SteppingPolicy::SteppingPolicy;
 
     void
     tick(Sm &sm, Cycle now) override
@@ -300,7 +255,7 @@ class SwitchProbe final : public ForwardingPolicy
                 stalled_.push_back(cta);
         }
         if (stalled_.empty()) {
-            ForwardingPolicy::tick(sm, now);
+            SteppingPolicy::tick(sm, now);
             return;
         }
         StallTick t;
@@ -310,7 +265,7 @@ class SwitchProbe final : public ForwardingPolicy
         t.headroom = sm.hasResidencyHeadroom();
         for (const Cta *cta : sm.pendingCtaList())
             t.earliestReady = std::min(t.earliestReady, cta->policyReadyCycle);
-        ForwardingPolicy::tick(sm, now);
+        SteppingPolicy::tick(sm, now);
         for (const Cta *cta : stalled_) {
             if (cta->state() == CtaState::Active)
                 continue;
@@ -327,7 +282,10 @@ class SwitchProbe final : public ForwardingPolicy
     std::vector<Cta *> stalled_;
 };
 
-/** Run @p kernel under a SwitchProbe, which must not perturb the run. */
+/**
+ * Run @p kernel under a SwitchProbe, which must not perturb the run: the
+ * stepped probe run matches a plain skipping one.
+ */
 std::vector<StallTick>
 probeStallTicks(const GpuConfig &config, const Kernel &kernel)
 {
@@ -345,15 +303,14 @@ probeStallTicks(const GpuConfig &config, const Kernel &kernel)
 }
 
 /**
- * FineReg on one SM, ticked every cycle, with four active slots, eight
- * resident ones and growth never damped. Its partner test then reads:
- * grid work and residency headroom, or a pending CTA ready by now.
+ * FineReg on one SM with four active slots, eight resident ones and growth
+ * never damped. Its partner test then reads: grid work and residency
+ * headroom, or a pending CTA ready by now.
  */
 GpuConfig
 gateConfig()
 {
     GpuConfig config = configFor(PolicyKind::FineReg, 1);
-    config.idleSkip = IdleSkipMode::StepEveryCycle;
     config.sm.maxCtas = 4;
     config.sm.maxResidentCtas = 8;
     config.policy.pendingGrowthFactor = 100.0;
@@ -421,10 +378,9 @@ TEST(StallSwitchGate, RegDramStillDemotesWhenOnlyTheDramTierHasRoom)
     // took switch (c), reached only after on-chip growth (a) and a ready
     // on-chip partner (b) were both ruled out on that tick.
     const auto kernel = streamingKernel(128, 48);
-    GpuConfig config = configFor(PolicyKind::RegDram);
-    config.idleSkip = IdleSkipMode::StepEveryCycle;
     unsigned demoted = 0;
-    for (const StallTick &t : probeStallTicks(config, *kernel))
+    for (const StallTick &t :
+         probeStallTicks(configFor(PolicyKind::RegDram), *kernel))
         demoted += t.toDram;
     EXPECT_GT(demoted, 0u);
 }

@@ -1,12 +1,14 @@
 /**
  * @file
- * Hot-path regression suite (DESIGN.md §14): the perf machinery — event
- * wheel, arena-style PCRF chains, sampled auditing — must be invisible in
- * simulated results. Event-wheel skipping is pinned bit-identical to
- * stepping every cycle across all five policies (serially and through a
- * ParallelRunner pool), the PCRF arena is stressed through fragmentation
- * churn and fault-forced PCRF-full fallbacks, and the host_perf counters
- * are sanity-checked so the wall-time telemetry stays trustworthy.
+ * Hot-path regression suite (DESIGN.md §14): the perf machinery — idle
+ * skipping, arena-style PCRF chains, sampled auditing — must be invisible
+ * in simulated results. Idle skipping is pinned bit-identical to the
+ * test-only stepping reference (stepping_policy.hh) across all five
+ * policies, both warp schedulers and every suite app (serially and
+ * through a ParallelRunner pool), the PCRF arena is stressed through
+ * fragmentation churn and fault-forced PCRF-full fallbacks, and the
+ * host_perf counters are sanity-checked so the wall-time telemetry stays
+ * trustworthy.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "ref/arch_state.hh"
 #include "ref/kernel_gen.hh"
 #include "regfile/pcrf.hh"
+#include "stepping_policy.hh"
 #include "workloads/suite.hh"
 
 namespace finereg
@@ -27,22 +30,17 @@ constexpr PolicyKind kAllPolicies[] = {
     PolicyKind::Baseline, PolicyKind::VirtualThread, PolicyKind::RegDram,
     PolicyKind::RegMutex, PolicyKind::FineReg};
 
-constexpr IdleSkipMode kAllSkipModes[] = {IdleSkipMode::Wheel,
-                                          IdleSkipMode::LegacyScan,
-                                          IdleSkipMode::StepEveryCycle};
-
 GpuConfig
-perfConfig(PolicyKind kind, IdleSkipMode skip)
+perfConfig(PolicyKind kind)
 {
     GpuConfig config = GpuConfig::gtx980();
     config.numSms = 2;
     config.policy.kind = kind;
     config.trackValues = true;
-    config.idleSkip = skip;
     return config;
 }
 
-/** Everything that must not move when only the idle-skip strategy does. */
+/** Everything that must not move between skipping and stepping. */
 void
 expectSimEqual(const SimResult &a, const SimResult &b,
                const std::string &what)
@@ -64,39 +62,54 @@ expectSimEqual(const SimResult &a, const SimResult &b,
         << what;
 }
 
-TEST(EventWheelDeterminism, WheelMatchesStepEveryCycleUnderEveryPolicy)
+TEST(SteppingReference, ScanMatchesSteppingUnderEveryPolicy)
 {
     const auto kernel = generateKernelSpec(0x5eed).build();
     for (const PolicyKind kind : kAllPolicies) {
-        const SimResult step = Simulator::run(
-            perfConfig(kind, IdleSkipMode::StepEveryCycle), *kernel);
-        for (const IdleSkipMode skip :
-             {IdleSkipMode::Wheel, IdleSkipMode::LegacyScan}) {
-            const SimResult fast =
-                Simulator::run(perfConfig(kind, skip), *kernel);
-            expectSimEqual(step, fast,
-                           std::string(policyKindName(kind)) + "/skip=" +
-                               std::to_string(unsigned(skip)));
-        }
+        const GpuConfig config = perfConfig(kind);
+        expectSimEqual(runStepping(config, *kernel),
+                       Simulator::run(config, *kernel),
+                       policyKindName(kind));
     }
 }
 
-TEST(EventWheelDeterminism, WheelMatchesStepOnRealWorkload)
+TEST(SteppingReference, ScanMatchesSteppingOnRealWorkload)
 {
     // Barriers, shared memory and divergence hit wake paths the generated
     // kernel does not; FineReg adds CTA switching on top.
     const auto kernel = Suite::makeKernel(Suite::byName("BF"), 0.05);
     for (const PolicyKind kind :
          {PolicyKind::Baseline, PolicyKind::FineReg}) {
-        const SimResult step = Simulator::run(
-            perfConfig(kind, IdleSkipMode::StepEveryCycle), *kernel);
-        const SimResult wheel = Simulator::run(
-            perfConfig(kind, IdleSkipMode::Wheel), *kernel);
-        expectSimEqual(step, wheel, policyKindName(kind));
+        const GpuConfig config = perfConfig(kind);
+        expectSimEqual(runStepping(config, *kernel),
+                       Simulator::run(config, *kernel),
+                       policyKindName(kind));
     }
 }
 
-TEST(EventWheelDeterminism, SerialAndParallelWheelRunsAreIdentical)
+TEST(SteppingReference, GoldenTimingMatrixMatchesStepping)
+{
+    // The GoldenTiming cells (every app, both schedulers, all five
+    // policies at scale 0.02 on 2 SMs): each policy-specific wake source,
+    // such as Reg+DRAM's demotion budget, is exercised by some cell.
+    for (const SuiteEntry &entry : Suite::all()) {
+        const auto kernel = Suite::makeKernel(entry, 0.02);
+        for (const SchedKind sched : {SchedKind::GTO, SchedKind::LRR}) {
+            for (const PolicyKind kind : kAllPolicies) {
+                GpuConfig config = perfConfig(kind);
+                config.sm.sched = sched;
+                expectSimEqual(
+                    runStepping(config, *kernel),
+                    Simulator::run(config, *kernel),
+                    entry.abbrev +
+                        (sched == SchedKind::GTO ? " GTO " : " LRR ") +
+                        policyKindName(kind));
+            }
+        }
+    }
+}
+
+TEST(SteppingReference, SerialAndParallelRunsAreIdentical)
 {
     const auto kernel = generateKernelSpec(0x5eed).build();
 
@@ -104,8 +117,7 @@ TEST(EventWheelDeterminism, SerialAndParallelWheelRunsAreIdentical)
         std::vector<ParallelRunner::Job> jobs;
         for (const PolicyKind kind : kAllPolicies) {
             jobs.push_back([kernel = kernel.get(), kind] {
-                return Simulator::run(
-                    perfConfig(kind, IdleSkipMode::Wheel), *kernel);
+                return Simulator::run(perfConfig(kind), *kernel);
             });
         }
         return jobs;
@@ -121,58 +133,48 @@ TEST(EventWheelDeterminism, SerialAndParallelWheelRunsAreIdentical)
         expectSimEqual(a[i], b[i], "job " + std::to_string(i));
 }
 
-TEST(EventWheelDeterminism, WheelMatchesStepUnderFaultInjection)
+TEST(SteppingReference, ScanMatchesSteppingUnderFaultInjection)
 {
     // The fault schedule is a pure function of the seed and the sequence
     // of injection-point queries, which is simulated-state driven — so a
     // fault-forced PCRF-full fallback must replay identically whether the
     // clock skips idle cycles or steps through them.
     const auto kernel = Suite::makeKernel(Suite::byName("HS"), 0.05);
-    GpuConfig step = perfConfig(PolicyKind::FineReg,
-                                IdleSkipMode::StepEveryCycle);
-    step.verify.fault.seed = 0xfa011;
-    step.verify.fault.pcrfFullProb = 0.25;
-    GpuConfig wheel = step;
-    wheel.idleSkip = IdleSkipMode::Wheel;
-
-    const SimResult a = Simulator::run(step, *kernel);
-    const SimResult b = Simulator::run(wheel, *kernel);
-    expectSimEqual(a, b, "finereg/faulted");
+    GpuConfig config = perfConfig(PolicyKind::FineReg);
+    config.verify.fault.seed = 0xfa011;
+    config.verify.fault.pcrfFullProb = 0.25;
+    expectSimEqual(runStepping(config, *kernel),
+                   Simulator::run(config, *kernel), "finereg/faulted");
 }
 
-TEST(HostPerf, WheelSkipsCyclesAndStepDoesNot)
+TEST(HostPerf, ScanSkipsCyclesAndSteppingDoesNot)
 {
     const auto kernel = Suite::makeKernel(Suite::byName("MC"), 0.05);
-    const SimResult wheel = Simulator::run(
-        perfConfig(PolicyKind::FineReg, IdleSkipMode::Wheel), *kernel);
-    const SimResult step = Simulator::run(
-        perfConfig(PolicyKind::FineReg, IdleSkipMode::StepEveryCycle),
-        *kernel);
-    ASSERT_FALSE(wheel.failed) << wheel.failureReason;
+    const GpuConfig config = perfConfig(PolicyKind::FineReg);
+    const SimResult scan = Simulator::run(config, *kernel);
+    const SimResult step = runStepping(config, *kernel);
+    ASSERT_FALSE(scan.failed) << scan.failureReason;
 
     // Skipping must actually happen, and every skipped cycle is a loop
     // iteration the stepper had to burn.
-    EXPECT_GT(wheel.hostPerf.skippedCycles, 0u);
-    EXPECT_GT(wheel.hostPerf.wheelPushes, 0u);
+    EXPECT_GT(scan.hostPerf.skippedCycles, 0u);
     EXPECT_EQ(step.hostPerf.skippedCycles, 0u);
-    EXPECT_EQ(wheel.hostPerf.loopIterations + wheel.hostPerf.skippedCycles,
+    EXPECT_EQ(scan.hostPerf.loopIterations + scan.hostPerf.skippedCycles,
               step.hostPerf.loopIterations);
 
     // FineReg swaps CTAs, so chain writes flow through the arena.
-    EXPECT_GT(wheel.hostPerf.arenaAllocs, 0u);
-    EXPECT_EQ(wheel.hostPerf.arenaBytes, wheel.hostPerf.arenaAllocs * 16);
-    EXPECT_GT(wheel.hostPerf.bitvecWordOps, 0u);
+    EXPECT_GT(scan.hostPerf.arenaAllocs, 0u);
+    EXPECT_EQ(scan.hostPerf.arenaBytes(), scan.hostPerf.arenaAllocs * 16);
+    EXPECT_GT(scan.hostPerf.bitvecWordOps, 0u);
 }
 
 TEST(HostPerf, AuditCountersTrackSampling)
 {
     const auto kernel = generateKernelSpec(0x5eed).build();
-    GpuConfig audited = perfConfig(PolicyKind::FineReg,
-                                   IdleSkipMode::Wheel);
+    GpuConfig audited = perfConfig(PolicyKind::FineReg);
     audited.verify.auditInterval = 256;
     audited.verify.auditEdgeEvery = 4;
-    GpuConfig unaudited = perfConfig(PolicyKind::FineReg,
-                                     IdleSkipMode::Wheel);
+    const GpuConfig unaudited = perfConfig(PolicyKind::FineReg);
 
     const SimResult a = Simulator::run(audited, *kernel);
     const SimResult b = Simulator::run(unaudited, *kernel);

@@ -293,14 +293,10 @@ runBench(const BenchOptions &options)
             json.u64(r.hostPerf.loopIterations);
             json.key("skipped_cycles");
             json.u64(r.hostPerf.skippedCycles);
-            json.key("wheel_pushes");
-            json.u64(r.hostPerf.wheelPushes);
-            json.key("wheel_pops");
-            json.u64(r.hostPerf.wheelPops);
             json.key("arena_allocs");
             json.u64(r.hostPerf.arenaAllocs);
             json.key("arena_bytes");
-            json.u64(r.hostPerf.arenaBytes);
+            json.u64(r.hostPerf.arenaBytes());
             json.key("bitvec_word_ops");
             json.u64(r.hostPerf.bitvecWordOps);
             json.key("full_audits");
