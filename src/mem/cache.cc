@@ -102,9 +102,9 @@ void
 Cache::registerFill(Addr addr, Cycle fill_cycle)
 {
     const Addr line = lineAddr(addr);
-    // A bounded MSHR file: when full, drop the oldest entry. Merging is an
-    // optimization, so forgetting an entry only costs extra traffic realism,
-    // never correctness.
+    // A bounded MSHR file: when full, drop mshrs_.begin(), the first entry
+    // in hash order (not the oldest). Merging is an optimization, so
+    // forgetting an entry only costs extra traffic realism, never correctness.
     if (mshrs_.size() >= config_.mshrEntries)
         mshrs_.erase(mshrs_.begin());
     mshrs_[line] = fill_cycle;

@@ -48,28 +48,6 @@ FineRegPolicy::onBind()
     noPartner_ = &gpu().stats().counter("finereg.no_partner");
 }
 
-Cta *
-FineRegPolicy::bestPendingCta(Sm &sm, Cycle at_most) const
-{
-    SmState &st = state(sm);
-    // O(1) fast path: even the soonest pending CTA misses at_most. The
-    // slow scan below still decides ties in residentCtas order, so the
-    // pick is bit-identical to the pre-fast-path code.
-    if (st.pendingReady.minReady() > at_most)
-        return nullptr;
-    Cta *best = nullptr;
-    Cycle best_ready = kNoCycle;
-    for (Cta *cta : sm.pendingCtaList()) {
-        // policyReadyCycle mirrors st.pendingReady (audit-checked).
-        const Cycle ready = cta->policyReadyCycle;
-        if (ready <= at_most && ready < best_ready) {
-            best = cta;
-            best_ready = ready;
-        }
-    }
-    return best;
-}
-
 void
 FineRegPolicy::restoreCta(Sm &sm, Cta &cta, Cycle now, Cycle extra_latency)
 {
@@ -79,8 +57,7 @@ FineRegPolicy::restoreCta(Sm &sm, Cta &cta, Cycle now, Cycle extra_latency)
     cta.regAllocHandle = st.acrf->allocate(kernel.warpRegsPerCta());
     st.posScratch.resize(cta.numWarps());
     st.pcrf->restoreCtaLastPositions(cta.gridId(), st.posScratch);
-    st.pendingReady.erase(cta.gridId());
-    cta.policyReadyCycle = kNoCycle;
+    st.ready.erase(cta);
 
     st.monitor.setContext(cta.gridId(), ContextLocation::Pipeline);
     st.monitor.setRegisters(cta.gridId(), RegisterLocation::Acrf);
@@ -121,8 +98,7 @@ FineRegPolicy::evictCta(Sm &sm, Cta &cta, const Rmu::Gather &gather,
                   st.rmu->transferLatency(gather.totalRegs);
     const Cycle pending_ready =
         std::max(cta.estimateReadyCycle(now), drain_done);
-    st.pendingReady.set(cta.gridId(), pending_ready);
-    cta.policyReadyCycle = pending_ready;
+    st.ready.push(cta, pending_ready);
 
     // Architecturally, only the gathered (live) registers survive the
     // swap: everything else is dropped and its value becomes undefined.
@@ -156,7 +132,7 @@ FineRegPolicy::fillActiveSlots(Sm &sm, Cycle now)
     while (sm.canActivateCta()) {
         // Ready pending CTAs restore from the PCRF first.
         if (st.acrf->canAllocate(warp_regs)) {
-            if (Cta *pending = bestPendingCta(sm, now)) {
+            if (Cta *pending = st.ready.best(now)) {
                 restoreCta(sm, *pending, now, 0);
                 continue;
             }
@@ -175,7 +151,7 @@ FineRegPolicy::fillActiveSlots(Sm &sm, Cycle now)
         if (launched > 0)
             break;
         if (st.acrf->canAllocate(warp_regs)) {
-            if (Cta *pending = bestPendingCta(sm, kNoCycle - 1)) {
+            if (Cta *pending = st.ready.best(kNoCycle - 1)) {
                 restoreCta(sm, *pending, now, 0);
                 continue;
             }
@@ -192,7 +168,7 @@ FineRegPolicy::findPartner(Sm &sm, Cycle now) const
     partner.canGrow = dispatcher().hasWork() &&
                       sm.shmemFree() >= kernel.shmemPerCta() &&
                       sm.hasResidencyHeadroom() && !pendingSaturated(sm);
-    partner.readyPending = bestPendingCta(sm, now);
+    partner.readyPending = state(sm).ready.best(now);
     return partner;
 }
 
@@ -232,10 +208,7 @@ FineRegPolicy::switchStalledCtas(Sm &sm, Cycle now)
         // The outgoing drain is pipelined through the RMU's staging buffer
         // (Sec. V-E), so the incoming CTA pays only the fixed switch
         // initiation cost (plus its own restore chain when resuming).
-        const Cycle base_latency =
-            config().policy.zeroSwitchLatency
-                ? 0
-                : config().policy.switchBaseLatency;
+        const Cycle base_latency = switchLatency();
 
         // Injected fault: a canStore query may be forced to report the
         // PCRF full, pushing the switch onto the Fig. 6(b) swap path.
@@ -261,20 +234,19 @@ FineRegPolicy::switchStalledCtas(Sm &sm, Cycle now)
         // Fig. 6(b): PCRF full — context switch only, and only when the
         // stalled CTA's live set fits the free slots plus those the
         // departing pending CTA releases (Sec. V-E). If the soonest-ready
-        // pending CTA's chain is too short to make room, try other ready
-        // CTAs whose chains free enough entries.
+        // pending CTA's chain is too short to make room, take the
+        // earliest-launched ready CTA whose chain frees enough entries.
         if (ready_pending &&
             n_live > st.pcrf->freeEntries() +
                          st.pcrf->liveCountOf(ready_pending->gridId())) {
             Cta *fitting = nullptr;
-            for (Cta *candidate : sm.pendingCtaList()) {
-                if (candidate->policyReadyCycle > now)
-                    continue;
-                if (n_live <= st.pcrf->freeEntries() +
-                                  st.pcrf->liveCountOf(candidate->gridId())) {
-                    fitting = candidate;
+            for (const ReadyQueue::Entry &entry : st.ready) {
+                if (entry.ready > now)
                     break;
-                }
+                if (n_live <= st.pcrf->freeEntries() +
+                                  st.pcrf->liveCountOf(entry.cta->gridId()) &&
+                    (!fitting || entry.launchSeq < fitting->launchSeq()))
+                    fitting = entry.cta;
             }
             if (fitting)
                 ready_pending = fitting;
@@ -294,8 +266,7 @@ FineRegPolicy::switchStalledCtas(Sm &sm, Cycle now)
 
                 ready_pending->regAllocHandle =
                     st.acrf->allocate(warp_regs);
-                st.pendingReady.erase(ready_pending->gridId());
-                ready_pending->policyReadyCycle = kNoCycle;
+                st.ready.erase(*ready_pending);
                 st.monitor.setContext(ready_pending->gridId(),
                                       ContextLocation::Pipeline);
                 st.monitor.setRegisters(ready_pending->gridId(),
@@ -335,8 +306,7 @@ FineRegPolicy::onCtaFinished(Sm &sm, Cta &cta, Cycle)
     }
     st.acrf->free(cta.regAllocHandle);
     st.monitor.onRetire(cta.gridId());
-    st.pendingReady.erase(cta.gridId());
-    cta.policyReadyCycle = kNoCycle;
+    st.ready.erase(cta);
 }
 
 bool
@@ -348,10 +318,7 @@ FineRegPolicy::rfDepletionBlocked(const Sm &sm, Cycle) const
 Cycle
 FineRegPolicy::nextEventCycle(const Sm &sm, Cycle now) const
 {
-    const SmState &st = state(sm);
-    if (st.pendingReady.empty())
-        return kNoCycle;
-    return std::max(st.pendingReady.minReady(), now + 1);
+    return state(sm).ready.nextEvent(now);
 }
 
 void
@@ -420,18 +387,6 @@ FineRegPolicy::audit(const Sm &sm, Cycle now) const
                                "register allocation",
                                id, sm_id, now);
             }
-            if (!st.pendingReady.contains(id)) {
-                raiseInvariant("monitor-state",
-                               "pending CTA has no operand-ready estimate",
-                               id, sm_id, now);
-            }
-            if (cta->policyReadyCycle !=
-                st.pendingReady.readyCycle(id)) {
-                raiseInvariant("monitor-state",
-                               "CTA pending-ready mirror diverges from the "
-                               "tracked operand-ready estimate",
-                               id, sm_id, now);
-            }
         }
     }
 
@@ -465,6 +420,7 @@ FineRegPolicy::audit(const Sm &sm, Cycle now) const
             << " CTAs but " << active + pending << " are resident";
         raiseInvariant("monitor-state", oss.str(), kInvalidId, sm_id, now);
     }
+    auditReadyQueues(sm, now, {&st.ready});
 }
 
 std::uint64_t

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "policies/pending_ready.hh"
 #include "policies/policy.hh"
+#include "policies/ready_queue.hh"
 #include "sm/sm.hh"
 #include "regfile/cta_status_monitor.hh"
 #include "regfile/pcrf.hh"
@@ -58,15 +58,13 @@ class FineRegPolicy : public Policy
         return *state(sm).acrf;
     }
 
-    /** Operand-ready estimate of pending CTA @p cta (0 if untracked). */
-    Cycle pendingReadyOf(const Sm &sm, GridCtaId cta) const
-    {
-        return state(sm).pendingReady.readyCycle(cta, 0);
-    }
+    /** Pending CTAs and their operand-ready estimates. */
+    const ReadyQueue &readyOf(const Sm &sm) const { return state(sm).ready; }
 
     /** Mutable introspection for corruption/fault-injection tests. */
     Pcrf &mutablePcrfOf(const Sm &sm) { return *state(sm).pcrf; }
     RegFileAllocator &mutableAcrfOf(const Sm &sm) { return *state(sm).acrf; }
+    ReadyQueue &mutableReadyOf(const Sm &sm) { return state(sm).ready; }
 
   protected:
     void onBind() override;
@@ -79,8 +77,8 @@ class FineRegPolicy : public Policy
         std::unique_ptr<Rmu> rmu;
         CtaStatusMonitor monitor;
 
-        /** Pending CTA -> estimated operand-ready cycle. */
-        PendingReadySet pendingReady;
+        /** Pending CTAs by estimated operand-ready cycle. */
+        ReadyQueue ready;
 
         /** Fig. 14 flag: a switch was blocked by PCRF depletion. */
         bool pcrfBlocked = false;
@@ -92,8 +90,6 @@ class FineRegPolicy : public Policy
     };
 
     SmState &state(const Sm &sm) const { return *states_[sm.id()]; }
-
-    Cta *bestPendingCta(Sm &sm, Cycle at_most) const;
 
     /** Partner test: a fresh grid CTA can grow the resident set, or a
      * pending CTA is ready to resume. */

@@ -8,10 +8,12 @@
 #include "core/gpu_config.hh"
 #include "policies/baseline_policy.hh"
 #include "policies/finereg_policy.hh"
+#include "policies/ready_queue.hh"
 #include "policies/reg_dram_policy.hh"
 #include "policies/regmutex_policy.hh"
 #include "policies/virtual_thread_policy.hh"
 #include "sm/gpu.hh"
+#include "verify/sim_error.hh"
 
 namespace finereg
 {
@@ -53,6 +55,14 @@ Policy::baselineActiveEstimate(const Sm &sm) const
     return baselineEstimate_;
 }
 
+Cycle
+Policy::switchLatency() const
+{
+    return config().policy.zeroSwitchLatency
+               ? 0
+               : config().policy.switchBaseLatency;
+}
+
 bool
 Policy::pendingSaturated(const Sm &sm) const
 {
@@ -75,6 +85,35 @@ Policy::collectStalledCtas(Sm &sm, Cycle now) const
             stalled.push_back(cta);
     }
     return stalled;
+}
+
+void
+Policy::auditReadyQueues(
+    const Sm &sm, Cycle now,
+    std::initializer_list<const ReadyQueue *> queues) const
+{
+    const auto fail = [&](const char *what, GridCtaId cta) {
+        raiseInvariant("monitor-state", what, cta, sm.id(), now);
+    };
+    std::size_t queued = 0;
+    for (const ReadyQueue *queue : queues) {
+        queued += queue->size();
+        if (!std::is_sorted(queue->begin(), queue->end()))
+            fail("ready queue out of (ready, launchSeq) order", kInvalidId);
+    }
+    for (const auto &cta : sm.residentCtas()) {
+        const auto holds = [&](const ReadyQueue *q) {
+            return q->contains(*cta);
+        };
+        if (cta->state() == CtaState::Pending &&
+            std::none_of(queues.begin(), queues.end(), holds))
+            fail("pending CTA has no operand-ready estimate", cta->gridId());
+    }
+    // Every pending CTA is queued, so any entry beyond one per pending
+    // CTA is a second copy or a CTA that is not pending.
+    if (queued != sm.pendingCtaCount())
+        fail("a ready queue holds a CTA twice or a non-pending CTA",
+             kInvalidId);
 }
 
 void

@@ -11,6 +11,7 @@
 #define FINEREG_POLICIES_POLICY_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -22,6 +23,7 @@ namespace finereg
 class Cta;
 class CtaDispatcher;
 class Gpu;
+class ReadyQueue;
 class Sm;
 struct GpuConfig;
 
@@ -86,6 +88,10 @@ class Policy
      */
     unsigned baselineActiveEstimate(const Sm &sm) const;
 
+    /** Fixed cost of a context switch (pipeline drain + context parking,
+     * after VT's switching logic); 0 under the zero-latency ablation. */
+    Cycle switchLatency() const;
+
     /** True once the pending set is large enough to hide stalls; growth
      * beyond this only enlarges the cache working set. */
     bool pendingSaturated(const Sm &sm) const;
@@ -98,6 +104,13 @@ class Policy
      * next call.
      */
     const std::vector<Cta *> &collectStalledCtas(Sm &sm, Cycle now) const;
+
+    /** Auditor check of a switching policy's ready queues on @p sm: each
+     * Pending CTA sits in exactly one of @p queues, no other CTA sits in
+     * any, and each queue is in (ready, launchSeq) order. */
+    void auditReadyQueues(
+        const Sm &sm, Cycle now,
+        std::initializer_list<const ReadyQueue *> queues) const;
 
     /**
      * What could take a fully stalled CTA's place (Sec. IV-A): a fresh

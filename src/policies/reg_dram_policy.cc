@@ -13,9 +13,7 @@ void
 RegDramPolicy::onBind()
 {
     VirtualThreadPolicy::onBind();
-    dramStates_.clear();
-    for (unsigned s = 0; s < gpu().config().numSms; ++s)
-        dramStates_.push_back(std::make_unique<DramState>());
+    dramStates_.assign(gpu().config().numSms, DramState{});
 }
 
 std::uint64_t
@@ -25,10 +23,9 @@ RegDramPolicy::contextBytes(const Sm &sm) const
 }
 
 void
-RegDramPolicy::demoteToDram(Sm &sm, Cta &cta, Cycle now)
+RegDramPolicy::demoteToDram(Sm &sm, Cta &cta, Cycle ready, Cycle now)
 {
     SmState &st = state(sm);
-    DramState &ds = dram(sm);
 
     st.rf->free(cta.regAllocHandle);
     cta.regAllocHandle = kInvalidId;
@@ -38,9 +35,7 @@ RegDramPolicy::demoteToDram(Sm &sm, Cta &cta, Cycle now)
     sm.mem().offchipTransfer(now, contextBytes(sm),
                              TrafficClass::CtaContext);
 
-    ds.inDram.set(cta.gridId(),
-                  st.pendingReady.readyCycle(cta.gridId(), now));
-    st.pendingReady.erase(cta.gridId());
+    dram(sm).inDram.push(cta, ready);
 }
 
 void
@@ -51,30 +46,11 @@ RegDramPolicy::promoteFromDram(Sm &sm, Cta &cta, Cycle now)
     const Kernel &kernel = sm.context().kernel();
 
     cta.regAllocHandle = st.rf->allocate(kernel.warpRegsPerCta());
-    ds.inDram.erase(cta.gridId());
+    ds.inDram.erase(cta);
 
     const Cycle loaded = sm.mem().offchipTransfer(
         now, contextBytes(sm), TrafficClass::CtaContext);
     sm.resumeCta(cta, now, (loaded - now) + switchLatency());
-}
-
-Cta *
-RegDramPolicy::bestDramPendingCta(Sm &sm, Cycle at_most) const
-{
-    DramState &ds = dram(sm);
-    // O(1) fast path: nothing in the DRAM tier can be ready by at_most.
-    if (ds.inDram.minReady() > at_most)
-        return nullptr;
-    Cta *best = nullptr;
-    Cycle best_ready = kNoCycle;
-    for (Cta *cta : sm.pendingCtaList()) {
-        const Cycle ready = ds.inDram.readyCycle(cta->gridId());
-        if (ready <= at_most && ready < best_ready) {
-            best = cta;
-            best_ready = ready;
-        }
-    }
-    return best;
 }
 
 void
@@ -87,14 +63,14 @@ RegDramPolicy::fillSlotsWithDramTier(Sm &sm, Cycle now)
     unsigned launched = 0;
     while (sm.canActivateCta()) {
         // On-chip pending CTAs resume cheaply; prefer them.
-        if (Cta *pending = bestPendingCta(sm, now)) {
-            st.pendingReady.erase(pending->gridId());
+        if (Cta *pending = st.ready.best(now)) {
+            st.ready.erase(*pending);
             sm.resumeCta(*pending, now, switchLatency());
             continue;
         }
         // Ready DRAM-tier CTAs next, if their registers fit again.
         if (st.rf->canAllocate(warp_regs)) {
-            if (Cta *dram_cta = bestDramPendingCta(sm, now)) {
+            if (Cta *dram_cta = dram(sm).inDram.best(now)) {
                 promoteFromDram(sm, *dram_cta, now);
                 continue;
             }
@@ -114,8 +90,8 @@ RegDramPolicy::fillSlotsWithDramTier(Sm &sm, Cycle now)
         // nextEventCycle() wakes the device when one becomes ready.
         if (launched > 0)
             break;
-        if (Cta *pending = bestPendingCta(sm, kNoCycle - 1)) {
-            st.pendingReady.erase(pending->gridId());
+        if (Cta *pending = st.ready.best(kNoCycle - 1)) {
+            st.ready.erase(*pending);
             sm.resumeCta(*pending, now, switchLatency());
             continue;
         }
@@ -146,7 +122,7 @@ RegDramPolicy::findDramPartner(Sm &sm, Cycle now) const
                        now >= ds.nextDemoteAllowed &&
                        sm.hasResidencyHeadroom() &&
                        (dispatcher().hasWork() ||
-                        bestDramPendingCta(sm, now) != nullptr);
+                        ds.inDram.best(now) != nullptr);
     return partner;
 }
 
@@ -189,7 +165,7 @@ RegDramPolicy::switchStalledWithDramTier(Sm &sm, Cycle now)
         }
         // (a) VT-style growth inside the register file.
         if (partner.onChip.canGrow) {
-            st.pendingReady.set(cta->gridId(), cta->estimateReadyCycle(now));
+            st.ready.push(*cta, cta->estimateReadyCycle(now));
             sm.suspendCta(*cta, now);
             Cta *fresh = sm.launchCta(dispatcher().pop(), now);
             fresh->regAllocHandle = st.rf->allocate(warp_regs);
@@ -199,9 +175,9 @@ RegDramPolicy::switchStalledWithDramTier(Sm &sm, Cycle now)
         }
         // (b) Swap with a ready on-chip pending CTA.
         if (Cta *ready = partner.onChip.readyPending) {
-            st.pendingReady.set(cta->gridId(), cta->estimateReadyCycle(now));
+            st.ready.push(*cta, cta->estimateReadyCycle(now));
             sm.suspendCta(*cta, now);
-            st.pendingReady.erase(ready->gridId());
+            st.ready.erase(*ready);
             sm.resumeCta(*ready, now, switchLatency());
             continue;
         }
@@ -216,15 +192,14 @@ RegDramPolicy::switchStalledWithDramTier(Sm &sm, Cycle now)
         const Cycle ready_estimate = cta->estimateReadyCycle(now);
         if (!worthDemoting(sm, ready_estimate, now))
             continue;
-        st.pendingReady.set(cta->gridId(), ready_estimate);
         sm.suspendCta(*cta, now);
-        demoteToDram(sm, *cta, now);
+        demoteToDram(sm, *cta, ready_estimate, now);
         // Budget context movement to ~8% of channel bandwidth: a
         // demote+promote pair moves 2x the context, across all SMs.
         ds.nextDemoteAllowed =
             now + 2 * contextCycles(sm) * gpu().config().numSms * 12;
 
-        if (Cta *dram_ready = bestDramPendingCta(sm, now)) {
+        if (Cta *dram_ready = ds.inDram.best(now)) {
             promoteFromDram(sm, *dram_ready, now);
         } else if (dispatcher().hasWork() && st.rf->canAllocate(warp_regs) &&
                    sm.shmemFree() >= kernel.shmemPerCta()) {
@@ -246,7 +221,7 @@ RegDramPolicy::tick(Sm &sm, Cycle now)
 void
 RegDramPolicy::onCtaFinished(Sm &sm, Cta &cta, Cycle now)
 {
-    dram(sm).inDram.erase(cta.gridId());
+    dram(sm).inDram.erase(cta);
     if (cta.regAllocHandle != kInvalidId)
         VirtualThreadPolicy::onCtaFinished(sm, cta, now);
 }
@@ -254,14 +229,20 @@ RegDramPolicy::onCtaFinished(Sm &sm, Cta &cta, Cycle now)
 Cycle
 RegDramPolicy::nextEventCycle(const Sm &sm, Cycle now) const
 {
-    Cycle next = VirtualThreadPolicy::nextEventCycle(sm, now);
     const DramState &ds = dram(sm);
-    if (!ds.inDram.empty())
-        next = std::min(next, std::max(ds.inDram.minReady(), now + 1));
+    Cycle next = std::min(state(sm).ready.nextEvent(now),
+                          ds.inDram.nextEvent(now));
     // The demotion budget reopens the DRAM-tier partner at this cycle.
     if (ds.nextDemoteAllowed > now)
         next = std::min(next, ds.nextDemoteAllowed);
     return next;
+}
+
+void
+RegDramPolicy::audit(const Sm &sm, Cycle now) const
+{
+    auditRegFile(sm, now);
+    auditReadyQueues(sm, now, {&state(sm).ready, &dram(sm).inDram});
 }
 
 } // namespace finereg

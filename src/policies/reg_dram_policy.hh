@@ -13,7 +13,7 @@
 
 #include <vector>
 
-#include "policies/pending_ready.hh"
+#include "policies/ready_queue.hh"
 #include "policies/virtual_thread_policy.hh"
 
 namespace finereg
@@ -28,15 +28,18 @@ class RegDramPolicy : public VirtualThreadPolicy
     void onCtaFinished(Sm &sm, Cta &cta, Cycle now) override;
     Cycle nextEventCycle(const Sm &sm, Cycle now) const override;
 
+    /** Auditor: RF accounting and both tiers' ready queues. */
+    void audit(const Sm &sm, Cycle now) const override;
+
   protected:
     void onBind() override;
 
   private:
     struct DramState
     {
-        /** CTAs whose register context lives in DRAM, mapped to the cycle
-         * their operands are expected back (stall resolution). */
-        PendingReadySet inDram;
+        /** CTAs whose register context lives in DRAM, by the cycle their
+         * operands are expected back (stall resolution). */
+        ReadyQueue inDram;
 
         /** Demotion rate limiter: context movement is budgeted to a
          * small fraction of channel bandwidth (Fig. 15 measures
@@ -44,18 +47,16 @@ class RegDramPolicy : public VirtualThreadPolicy
         Cycle nextDemoteAllowed = 0;
     };
 
-    DramState &dram(const Sm &sm) const { return *dramStates_[sm.id()]; }
+    DramState &dram(const Sm &sm) const { return dramStates_[sm.id()]; }
 
     /** Full per-CTA register context size in bytes. */
     std::uint64_t contextBytes(const Sm &sm) const;
 
-    /** Demote a (suspended) CTA's registers to DRAM, freeing its RF. */
-    void demoteToDram(Sm &sm, Cta &cta, Cycle now);
+    /** Demote a suspended CTA, ready at @p ready, to DRAM; frees its RF. */
+    void demoteToDram(Sm &sm, Cta &cta, Cycle ready, Cycle now);
 
     /** Promote a DRAM CTA back: allocate RF, stream context in, resume. */
     void promoteFromDram(Sm &sm, Cta &cta, Cycle now);
-
-    Cta *bestDramPendingCta(Sm &sm, Cycle at_most) const;
 
     /** Cycles the DRAM channel needs to move one CTA's full context. */
     Cycle contextCycles(const Sm &sm) const;
@@ -77,7 +78,7 @@ class RegDramPolicy : public VirtualThreadPolicy
     void fillSlotsWithDramTier(Sm &sm, Cycle now);
     void switchStalledWithDramTier(Sm &sm, Cycle now);
 
-    mutable std::vector<std::unique_ptr<DramState>> dramStates_;
+    mutable std::vector<DramState> dramStates_;
 };
 
 } // namespace finereg

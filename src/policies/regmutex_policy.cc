@@ -36,14 +36,6 @@ RegMutexPolicy::onBind()
     }
 }
 
-Cycle
-RegMutexPolicy::switchLatency() const
-{
-    return config().policy.zeroSwitchLatency
-               ? 0
-               : config().policy.switchBaseLatency;
-}
-
 unsigned
 RegMutexPolicy::brsRegsPerThread(const Sm &sm) const
 {
@@ -116,25 +108,6 @@ RegMutexPolicy::liveExtendedRegs(const Sm &sm, const Cta &cta) const
     return live_ext;
 }
 
-Cta *
-RegMutexPolicy::bestPendingCta(Sm &sm, Cycle at_most) const
-{
-    SmState &st = state(sm);
-    // O(1) fast path: even the soonest pending CTA misses at_most.
-    if (st.pendingReady.minReady() > at_most)
-        return nullptr;
-    Cta *best = nullptr;
-    Cycle best_ready = kNoCycle;
-    for (Cta *cta : sm.pendingCtaList()) {
-        const Cycle ready = st.pendingReady.readyCycle(cta->gridId());
-        if (ready <= at_most && ready < best_ready) {
-            best = cta;
-            best_ready = ready;
-        }
-    }
-    return best;
-}
-
 void
 RegMutexPolicy::fillActiveSlots(Sm &sm, Cycle now)
 {
@@ -148,12 +121,12 @@ RegMutexPolicy::fillActiveSlots(Sm &sm, Cycle now)
     while (sm.canActivateCta()) {
         // Resume a ready pending CTA: it must re-acquire its full
         // extended set from the SRP before re-entering the pipeline.
-        if (Cta *pending = bestPendingCta(sm, now)) {
+        if (Cta *pending = st.ready.best(now)) {
             if (!setSrpHolding(st, pending->gridId(), ext_regs)) {
                 st.srpBlocked = true; // ready work blocked on SRP
                 break;
             }
-            st.pendingReady.erase(pending->gridId());
+            st.ready.erase(*pending);
             sm.resumeCta(*pending, now, switchLatency());
             continue;
         }
@@ -176,10 +149,10 @@ RegMutexPolicy::fillActiveSlots(Sm &sm, Cycle now)
         // demand fits.
         if (launched > 0)
             break;
-        if (Cta *pending = bestPendingCta(sm, kNoCycle - 1)) {
+        if (Cta *pending = st.ready.best(kNoCycle - 1)) {
             if (!setSrpHolding(st, pending->gridId(), ext_regs))
                 break;
-            st.pendingReady.erase(pending->gridId());
+            st.ready.erase(*pending);
             sm.resumeCta(*pending, now, switchLatency());
             continue;
         }
@@ -198,7 +171,7 @@ RegMutexPolicy::findPartner(Sm &sm, Cycle now) const
                       state(sm).brsPool->canAllocate(brs_warp_regs) &&
                       sm.shmemFree() >= kernel.shmemPerCta() &&
                       sm.hasResidencyHeadroom() && !pendingSaturated(sm);
-    partner.readyPending = bestPendingCta(sm, now);
+    partner.readyPending = state(sm).ready.best(now);
     return partner;
 }
 
@@ -252,7 +225,7 @@ RegMutexPolicy::switchStalledCtas(Sm &sm, Cycle now)
             }
         }
 
-        st.pendingReady.set(cta->gridId(), cta->estimateReadyCycle(now));
+        st.ready.push(*cta, cta->estimateReadyCycle(now));
         sm.suspendCta(*cta, now);
         setSrpHolding(st, cta->gridId(), keep);
 
@@ -265,7 +238,7 @@ RegMutexPolicy::switchStalledCtas(Sm &sm, Cycle now)
                 warp->setEarliestIssue(now + switchLatency());
         } else if (ready_pending &&
                    setSrpHolding(st, ready_pending->gridId(), ext_regs)) {
-            st.pendingReady.erase(ready_pending->gridId());
+            st.ready.erase(*ready_pending);
             sm.resumeCta(*ready_pending, now, switchLatency());
         } else {
             st.srpBlocked = true; // work existed; SRP said no
@@ -290,7 +263,7 @@ RegMutexPolicy::onCtaFinished(Sm &sm, Cta &cta, Cycle)
     setSrpHolding(st, cta.gridId(), 0);
     st.srpHeld.erase(cta.gridId());
     st.srpHandle.erase(cta.gridId());
-    st.pendingReady.erase(cta.gridId());
+    st.ready.erase(cta);
 }
 
 bool
@@ -302,10 +275,7 @@ RegMutexPolicy::rfDepletionBlocked(const Sm &sm, Cycle) const
 Cycle
 RegMutexPolicy::nextEventCycle(const Sm &sm, Cycle now) const
 {
-    const SmState &st = state(sm);
-    if (st.pendingReady.empty())
-        return kNoCycle;
-    return std::max(st.pendingReady.minReady(), now + 1);
+    return state(sm).ready.nextEvent(now);
 }
 
 void
@@ -355,6 +325,7 @@ RegMutexPolicy::audit(const Sm &sm, Cycle now) const
         raiseInvariant("srp-accounting", oss.str(), kInvalidId, sm.id(),
                        now);
     }
+    auditReadyQueues(sm, now, {&st.ready});
 }
 
 } // namespace finereg

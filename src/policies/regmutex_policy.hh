@@ -17,8 +17,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "policies/pending_ready.hh"
 #include "policies/policy.hh"
+#include "policies/ready_queue.hh"
 #include "sm/sm.hh"
 #include "regfile/register_file.hh"
 
@@ -35,7 +35,8 @@ class RegMutexPolicy : public Policy
     bool rfDepletionBlocked(const Sm &sm, Cycle now) const override;
     Cycle nextEventCycle(const Sm &sm, Cycle now) const override;
 
-    /** Auditor: BRS allocation accounting and SRP holding conservation. */
+    /** Auditor: BRS allocation accounting, SRP holding conservation and
+     * the ready queue. */
     void audit(const Sm &sm, Cycle now) const override;
 
     /** Per-thread BRS register count for the bound kernel. */
@@ -53,8 +54,8 @@ class RegMutexPolicy : public Policy
         std::unique_ptr<RegFileAllocator> brsPool;
         std::unique_ptr<RegFileAllocator> srpPool;
 
-        /** Pending CTA -> estimated ready cycle. */
-        PendingReadySet pendingReady;
+        /** Pending CTAs by estimated ready cycle. */
+        ReadyQueue ready;
 
         /** CTA -> SRP warp-registers currently held. */
         std::unordered_map<GridCtaId, unsigned> srpHeld;
@@ -68,16 +69,12 @@ class RegMutexPolicy : public Policy
 
     SmState &state(const Sm &sm) const { return *states_[sm.id()]; }
 
-    Cycle switchLatency() const;
-
     /** Adjust a CTA's SRP holding to @p target warp-registers; returns
      * false (no change) when growth exceeds the free pool. */
     bool setSrpHolding(SmState &st, GridCtaId cta, unsigned target);
 
     /** Live extended warp-registers of a stalled CTA (what it keeps). */
     unsigned liveExtendedRegs(const Sm &sm, const Cta &cta) const;
-
-    Cta *bestPendingCta(Sm &sm, Cycle at_most) const;
 
     /** Partner test: a fresh grid CTA fits the BRS pool, or a pending
      * CTA is ready to resume. */

@@ -22,36 +22,6 @@ VirtualThreadPolicy::onBind()
     }
 }
 
-Cycle
-VirtualThreadPolicy::switchLatency() const
-{
-    return config().policy.zeroSwitchLatency
-               ? 0
-               : config().policy.switchBaseLatency;
-}
-
-Cta *
-VirtualThreadPolicy::bestPendingCta(Sm &sm, Cycle at_most) const
-{
-    SmState &st = state(sm);
-    // O(1) fast path for the common per-tick probes: if even the soonest
-    // tracked CTA is not ready by at_most, no scan can find a winner.
-    if (st.pendingReady.minReady() > at_most)
-        return nullptr;
-    Cta *best = nullptr;
-    Cycle best_ready = kNoCycle;
-    for (Cta *cta : sm.pendingCtaList()) {
-        // Untracked here: e.g. demoted to the DRAM tier by a derived
-        // policy.
-        const Cycle ready = st.pendingReady.readyCycle(cta->gridId());
-        if (ready <= at_most && ready < best_ready) {
-            best = cta;
-            best_ready = ready;
-        }
-    }
-    return best;
-}
-
 void
 VirtualThreadPolicy::fillActiveSlots(Sm &sm, Cycle now)
 {
@@ -62,8 +32,8 @@ VirtualThreadPolicy::fillActiveSlots(Sm &sm, Cycle now)
     unsigned launched = 0;
     while (sm.canActivateCta()) {
         // 1) Ready pending CTAs already own registers; bring them back.
-        if (Cta *pending = bestPendingCta(sm, now)) {
-            st.pendingReady.erase(pending->gridId());
+        if (Cta *pending = st.ready.best(now)) {
+            st.ready.erase(*pending);
             sm.resumeCta(*pending, now, switchLatency());
             continue;
         }
@@ -82,8 +52,8 @@ VirtualThreadPolicy::fillActiveSlots(Sm &sm, Cycle now)
         //    launches follow next cycle.)
         if (launched > 0)
             break;
-        if (Cta *pending = bestPendingCta(sm, kNoCycle - 1)) {
-            st.pendingReady.erase(pending->gridId());
+        if (Cta *pending = st.ready.best(kNoCycle - 1)) {
+            st.ready.erase(*pending);
             sm.resumeCta(*pending, now, switchLatency());
             continue;
         }
@@ -103,7 +73,7 @@ VirtualThreadPolicy::findPartner(Sm &sm, Cycle now) const
                       state(sm).rf->canAllocate(kernel.warpRegsPerCta()) &&
                       sm.shmemFree() >= kernel.shmemPerCta() &&
                       sm.hasResidencyHeadroom() && !pendingSaturated(sm);
-    partner.readyPending = bestPendingCta(sm, now);
+    partner.readyPending = state(sm).ready.best(now);
     return partner;
 }
 
@@ -133,7 +103,7 @@ VirtualThreadPolicy::switchStalledCtas(Sm &sm, Cycle now)
             break;
         }
 
-        st.pendingReady.set(cta->gridId(), cta->estimateReadyCycle(now));
+        st.ready.push(*cta, cta->estimateReadyCycle(now));
         sm.suspendCta(*cta, now);
 
         if (partner.canGrow) {
@@ -142,7 +112,7 @@ VirtualThreadPolicy::switchStalledCtas(Sm &sm, Cycle now)
             for (auto &warp : fresh->warps())
                 warp->setEarliestIssue(now + switchLatency());
         } else {
-            st.pendingReady.erase(partner.readyPending->gridId());
+            st.ready.erase(*partner.readyPending);
             sm.resumeCta(*partner.readyPending, now, switchLatency());
         }
     }
@@ -160,22 +130,24 @@ VirtualThreadPolicy::onCtaFinished(Sm &sm, Cta &cta, Cycle)
 {
     SmState &st = state(sm);
     st.rf->free(cta.regAllocHandle);
-    st.pendingReady.erase(cta.gridId());
+    st.ready.erase(cta);
 }
 
 Cycle
 VirtualThreadPolicy::nextEventCycle(const Sm &sm, Cycle now) const
 {
-    // min over CTAs of max(ready, now+1) == max(minReady, now+1) when the
-    // set is non-empty: the clamp is monotone, so it commutes with min.
-    const SmState &st = state(sm);
-    if (st.pendingReady.empty())
-        return kNoCycle;
-    return std::max(st.pendingReady.minReady(), now + 1);
+    return state(sm).ready.nextEvent(now);
 }
 
 void
 VirtualThreadPolicy::audit(const Sm &sm, Cycle now) const
+{
+    auditRegFile(sm, now);
+    auditReadyQueues(sm, now, {&state(sm).ready});
+}
+
+void
+VirtualThreadPolicy::auditRegFile(const Sm &sm, Cycle now) const
 {
     const SmState &st = state(sm);
     unsigned holders = 0;

@@ -15,8 +15,8 @@
 #include <memory>
 #include <vector>
 
-#include "policies/pending_ready.hh"
 #include "policies/policy.hh"
+#include "policies/ready_queue.hh"
 #include "sm/sm.hh"
 #include "regfile/register_file.hh"
 
@@ -32,8 +32,7 @@ class VirtualThreadPolicy : public Policy
     void onCtaFinished(Sm &sm, Cta &cta, Cycle now) override;
     Cycle nextEventCycle(const Sm &sm, Cycle now) const override;
 
-    /** Auditor: RF accounting over handle-holding resident CTAs (also
-     * covers Reg+DRAM, whose demoted CTAs hold no handle). */
+    /** Auditor: RF accounting and the ready queue. */
     void audit(const Sm &sm, Cycle now) const override;
 
     /** VT CTA-switching logic storage (Sec. V-F cites 2.4 KB). */
@@ -48,8 +47,8 @@ class VirtualThreadPolicy : public Policy
     struct SmState
     {
         std::unique_ptr<RegFileAllocator> rf;
-        /** Pending CTA -> estimated ready cycle. */
-        PendingReadySet pendingReady;
+        /** Pending CTAs by estimated ready cycle. */
+        ReadyQueue ready;
     };
 
     SmState &state(const Sm &sm) const
@@ -60,10 +59,6 @@ class VirtualThreadPolicy : public Policy
     /** Resume ready pending CTAs and launch grid CTAs into free slots. */
     void fillActiveSlots(Sm &sm, Cycle now);
 
-    /** Pick the pending CTA with the smallest ready cycle (<= @p at_most);
-     * returns nullptr when none qualify. */
-    Cta *bestPendingCta(Sm &sm, Cycle at_most) const;
-
     /** Partner test: a fresh grid CTA fits the register file, or a
      * pending CTA is ready to resume. Reg+DRAM's on-chip half. */
     SwitchPartner findPartner(Sm &sm, Cycle now) const;
@@ -71,9 +66,9 @@ class VirtualThreadPolicy : public Policy
     /** Detect fully stalled active CTAs and switch them out. */
     void switchStalledCtas(Sm &sm, Cycle now);
 
-    /** On-chip context switch latency (pipeline drain + shared-memory
-     * context parking), adopted from VT's switching logic. */
-    Cycle switchLatency() const;
+    /** RF accounting over handle-holding resident CTAs (also covers
+     * Reg+DRAM, whose demoted CTAs hold no handle). */
+    void auditRegFile(const Sm &sm, Cycle now) const;
 
   private:
     mutable std::vector<std::unique_ptr<SmState>> states_;

@@ -168,15 +168,6 @@ class Cta
     /** Registers-in-ACRF bookkeeping handle for policies. */
     unsigned regAllocHandle = kInvalidId;
 
-    /**
-     * Pending-ready mirror for single-tier policies: the estimated
-     * operand-ready cycle while this CTA is tracked as Pending, kNoCycle
-     * when untracked. Shadows the owning policy's PendingReadySet (kept
-     * in lockstep at every set/erase) so the per-tick restore scans read
-     * a field instead of probing a hash map.
-     */
-    Cycle policyReadyCycle = kNoCycle;
-
   private:
     GridCtaId gridId_;
     unsigned launchSeq_;

@@ -146,7 +146,6 @@ Sm::suspendCta(Cta &cta, Cycle now)
     removeWarpFromSchedulers(cta);
     cta.setState(CtaState::Pending);
     listRemove(activeList_, &cta);
-    listInsert(pendingList_, &cta);
     --activeCtas_;
     ++pendingCtas_;
     activeWarpSlots_ -= kernel.warpsPerCta();
@@ -172,7 +171,6 @@ Sm::resumeCta(Cta &cta, Cycle now, Cycle wake_latency)
         FINEREG_PANIC("resume without active slots on SM ", id_);
     const Kernel &kernel = context_->kernel();
     cta.setState(CtaState::Active);
-    listRemove(pendingList_, &cta);
     listInsert(activeList_, &cta);
     ++activeCtas_;
     --pendingCtas_;
@@ -515,8 +513,6 @@ Sm::finishWarp(Warp &warp, Cycle now)
         activeWarpSlots_ -= kernel.warpsPerCta();
         activeThreadSlots_ -= kernel.threadsPerCta();
         listRemove(activeList_, cta);
-    } else if (cta->state() == CtaState::Pending) {
-        listRemove(pendingList_, cta);
     }
     removeWarpFromSchedulers(*cta);
     cta->setState(CtaState::Done);
@@ -529,9 +525,7 @@ Cycle
 Sm::nextWakeCycle(Cycle now) const
 {
     Cycle wake = kNoCycle;
-    for (const auto &cta : ctas_) {
-        if (cta->state() != CtaState::Active)
-            continue;
+    for (const Cta *cta : activeList_) {
         for (const auto &warp : cta->warps()) {
             if (warp->finished() || warp->atBarrier())
                 continue;

@@ -135,9 +135,6 @@ class Sm
      */
     const std::vector<Cta *> &activeCtaList() const { return activeList_; }
 
-    /** Pending CTAs in residentCtas() order (launch-sequence sorted). */
-    const std::vector<Cta *> &pendingCtaList() const { return pendingList_; }
-
     unsigned activeCtaCount() const { return activeCtas_; }
 
     /** Pending CTA count, maintained incrementally (hot path: policy
@@ -236,7 +233,6 @@ class Sm
     std::vector<std::unique_ptr<Cta>> ctas_;
     std::vector<Cta *> finished_;
     std::vector<Cta *> activeList_;
-    std::vector<Cta *> pendingList_;
 
     unsigned activeCtas_ = 0;
     unsigned activeWarpSlots_ = 0;

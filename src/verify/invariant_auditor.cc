@@ -1,6 +1,7 @@
 #include "verify/invariant_auditor.hh"
 
 #include <sstream>
+#include <vector>
 
 #include "policies/policy.hh"
 #include "sm/gpu.hh"
@@ -152,26 +153,16 @@ InvariantAuditor::auditSm(Gpu &gpu, Sm &sm, Cycle now) const
         fail("warp-accounting", oss.str(), kInvalidId, sm_id, now);
     }
 
-    // The policies' per-tick scans iterate the compact state lists; they
-    // must mirror residentCtas() filtered by state, in the same order.
-    {
-        std::size_t a = 0, p = 0;
-        const auto &alist = sm.activeCtaList();
-        const auto &plist = sm.pendingCtaList();
-        bool list_ok = true;
-        for (const auto &cta : sm.residentCtas()) {
-            if (cta->state() == CtaState::Active)
-                list_ok = list_ok && a < alist.size() &&
-                          alist[a++] == cta.get();
-            else if (cta->state() == CtaState::Pending)
-                list_ok = list_ok && p < plist.size() &&
-                          plist[p++] == cta.get();
-        }
-        if (!list_ok || a != alist.size() || p != plist.size()) {
-            fail("cta-accounting",
-                 "active/pending CTA lists diverge from resident set",
-                 kInvalidId, sm_id, now);
-        }
+    // The policies' per-tick stall scans iterate the compact active list;
+    // it must be residentCtas() filtered to Active, in the same order.
+    std::vector<Cta *> active_list;
+    for (const auto &cta : sm.residentCtas()) {
+        if (cta->state() == CtaState::Active)
+            active_list.push_back(cta.get());
+    }
+    if (active_list != sm.activeCtaList()) {
+        fail("cta-accounting", "active CTA list diverges from resident set",
+             kInvalidId, sm_id, now);
     }
 
     // Policy-specific invariants: PCRF chains, ACRF accounting, monitor

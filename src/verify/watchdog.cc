@@ -120,7 +120,7 @@ buildStallDiagnostic(Gpu &gpu, Cycle now, Cycle last_progress)
             if (finereg) {
                 oss << ": " << finereg->pcrfOf(*sm).liveCountOf(cta->gridId())
                     << " live regs in pcrf, ready at cycle "
-                    << finereg->pendingReadyOf(*sm, cta->gridId());
+                    << finereg->readyOf(*sm).readyCycle(*cta, 0);
             }
             oss << "\n";
         }

@@ -173,7 +173,11 @@ class StaleHintPolicy final : public ForwardingPolicy
     void
     tick(Sm &sm, Cycle now) override
     {
-        const std::vector<Cta *> pending = sm.pendingCtaList();
+        std::vector<Cta *> pending;
+        for (const auto &cta : sm.residentCtas()) {
+            if (cta->state() == CtaState::Pending)
+                pending.push_back(cta.get());
+        }
         for (Cta *cta : pending) {
             for (auto &warp : cta->warps())
                 warp->setWakeHint(kNoCycle);
@@ -228,7 +232,7 @@ struct StallTick
     bool gridWork = false;
     bool headroom = false;
     /** Soonest pending-ready estimate (kNoCycle: none). Read from
-     * Cta::policyReadyCycle, which only FineReg keeps. */
+     * FineReg's ready queue; kNoCycle under other policies. */
     Cycle earliestReady = kNoCycle;
     unsigned switchedOut = 0; ///< stalled CTAs no longer Active after
     /** Of those, ones left holding no register allocation: under
@@ -244,6 +248,9 @@ class SwitchProbe final : public SteppingPolicy
 {
   public:
     using SteppingPolicy::SteppingPolicy;
+
+    /** The wrapped policy when it is FineReg, else null. */
+    const FineRegPolicy *fineReg = nullptr;
 
     void
     tick(Sm &sm, Cycle now) override
@@ -263,8 +270,8 @@ class SwitchProbe final : public SteppingPolicy
         t.slotsFull = !sm.canActivateCta();
         t.gridWork = dispatcher().hasWork();
         t.headroom = sm.hasResidencyHeadroom();
-        for (const Cta *cta : sm.pendingCtaList())
-            t.earliestReady = std::min(t.earliestReady, cta->policyReadyCycle);
+        if (fineReg && !fineReg->readyOf(sm).empty())
+            t.earliestReady = fineReg->readyOf(sm).begin()->ready;
         SteppingPolicy::tick(sm, now);
         for (const Cta *cta : stalled_) {
             if (cta->state() == CtaState::Active)
@@ -292,8 +299,11 @@ probeStallTicks(const GpuConfig &config, const Kernel &kernel)
     Gpu plain(config, kernel);
     const GpuRunResult expected = plain.run();
 
-    auto wrapper = std::make_unique<SwitchProbe>(makePolicy(config));
+    std::unique_ptr<Policy> inner = makePolicy(config);
+    const auto *fine_reg = dynamic_cast<const FineRegPolicy *>(inner.get());
+    auto wrapper = std::make_unique<SwitchProbe>(std::move(inner));
     SwitchProbe &probe = *wrapper;
+    probe.fineReg = fine_reg;
     Gpu gpu(config, kernel, std::move(wrapper));
     const GpuRunResult result = gpu.run();
     EXPECT_FALSE(result.hitCycleLimit);

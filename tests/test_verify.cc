@@ -236,6 +236,39 @@ TEST(InvariantAuditorTest, DetectsCorruptedPcrfChain)
     }
 }
 
+TEST(InvariantAuditorTest, DetectsPendingCtaMissingFromReadyQueue)
+{
+    // Stop mid-run, while CTAs are switched out to the PCRF.
+    const auto kernel = mixedKernel(256);
+    GpuConfig config = smallConfig();
+    config.maxCycles = 1000;
+    Gpu gpu(config, *kernel);
+    ASSERT_TRUE(gpu.run().hitCycleLimit);
+    InvariantAuditor(1).audit(gpu, gpu.nowCycle());
+
+    auto &policy = static_cast<FineRegPolicy &>(gpu.policy());
+    const Sm *sm = nullptr;
+    for (const auto &s : gpu.sms()) {
+        if (!policy.readyOf(*s).empty()) {
+            sm = s.get();
+            break;
+        }
+    }
+    ASSERT_NE(sm, nullptr) << "no CTA pending at the cut";
+    ReadyQueue &queue = policy.mutableReadyOf(*sm);
+    const Cta &dropped = *queue.begin()->cta;
+    queue.erase(dropped);
+    try {
+        InvariantAuditor(1).audit(gpu, gpu.nowCycle());
+        FAIL() << "expected a monitor-state violation";
+    } catch (const SimException &e) {
+        EXPECT_EQ(e.error().kind, SimErrorKind::InvariantViolation);
+        EXPECT_EQ(e.error().invariant, "monitor-state");
+        EXPECT_EQ(e.error().cta, dropped.gridId());
+        EXPECT_EQ(e.error().sm, sm->id());
+    }
+}
+
 // ---- Deadlock watchdog -----------------------------------------------------
 
 TEST(Watchdog, WedgedRunProducesDiagnosticInsteadOfCycleCap)
