@@ -15,6 +15,7 @@ namespace finereg
 void
 FineRegPolicy::onBind()
 {
+    SwitchingPolicy::onBind();
     const PolicyConfig &pc = config().policy;
     // Under UM the PCRF lives in the pooled store instead of the RF, so
     // the split-equals-RF invariant only applies to the plain design.
@@ -48,39 +49,45 @@ FineRegPolicy::onBind()
     noPartner_ = &gpu().stats().counter("finereg.no_partner");
 }
 
-void
-FineRegPolicy::restoreCta(Sm &sm, Cta &cta, Cycle now, Cycle extra_latency)
+bool
+FineRegPolicy::reclaimContext(Sm &sm, Cta &cta)
 {
     SmState &st = state(sm);
-    const Kernel &kernel = sm.context().kernel();
-
-    cta.regAllocHandle = st.acrf->allocate(kernel.warpRegsPerCta());
     st.posScratch.resize(cta.numWarps());
     st.pcrf->restoreCtaLastPositions(cta.gridId(), st.posScratch);
-    st.ready.erase(cta);
-
-    st.monitor.setContext(cta.gridId(), ContextLocation::Pipeline);
-    st.monitor.setRegisters(cta.gridId(), RegisterLocation::Acrf);
-    sm.resumeCta(cta, now, extra_latency);
-    wakeWarpsAsRegistersArrive(sm, cta, st.posScratch, now + extra_latency);
+    return true;
 }
 
 void
-FineRegPolicy::wakeWarpsAsRegistersArrive(
-    Sm &sm, Cta &cta, const std::vector<unsigned> &last_pos, Cycle start)
+FineRegPolicy::onResumed(Sm &sm, Cta &cta, Cycle wake)
 {
+    SmState &st = state(sm);
+    cta.regAllocHandle =
+        st.acrf->allocate(sm.context().kernel().warpRegsPerCta());
+    st.monitor.setContext(cta.gridId(), ContextLocation::Pipeline);
+    st.monitor.setRegisters(cta.gridId(), RegisterLocation::Acrf);
     if (config().policy.zeroSwitchLatency)
         return;
-    SmState &st = state(sm);
     // The PCRF chain walk restores one entry per cycle after the fixed
     // tag+register access (Sec. V-E); each warp may issue as soon as its
     // own registers have landed, so earlier chain positions wake sooner.
+    // posScratch holds, per warp, the 1-based chain position of its last
+    // register (0 = none in the chain).
     for (auto &warp : cta.warps()) {
-        if (warp->finished())
-            continue;
-        warp->setEarliestIssue(
-            start + st.rmu->transferLatency(last_pos[warp->id()]));
+        if (!warp->finished()) {
+            warp->setEarliestIssue(
+                wake + st.rmu->transferLatency(st.posScratch[warp->id()]));
+        }
     }
+}
+
+void
+FineRegPolicy::onLaunched(Sm &sm, Cta &cta)
+{
+    SmState &st = state(sm);
+    cta.regAllocHandle =
+        st.acrf->allocate(sm.context().kernel().warpRegsPerCta());
+    st.monitor.onLaunch(cta.gridId());
 }
 
 void
@@ -98,7 +105,7 @@ FineRegPolicy::evictCta(Sm &sm, Cta &cta, const Rmu::Gather &gather,
                   st.rmu->transferLatency(gather.totalRegs);
     const Cycle pending_ready =
         std::max(cta.estimateReadyCycle(now), drain_done);
-    st.ready.push(cta, pending_ready);
+    mutableReadyOf(sm).push(cta, pending_ready);
 
     // Architecturally, only the gathered (live) registers survive the
     // swap: everything else is dropped and its value becomes undefined.
@@ -122,178 +129,74 @@ FineRegPolicy::evictCta(Sm &sm, Cta &cta, const Rmu::Gather &gather,
 }
 
 void
-FineRegPolicy::fillActiveSlots(Sm &sm, Cycle now)
+FineRegPolicy::switchOut(Sm &sm, Cta &cta, const SwitchPartner &partner,
+                         Cycle now)
 {
     SmState &st = state(sm);
-    const Kernel &kernel = sm.context().kernel();
-    const unsigned warp_regs = kernel.warpRegsPerCta();
+    Cta *ready_pending = partner.readyPending;
 
-    unsigned launched = 0;
-    while (sm.canActivateCta()) {
-        // Ready pending CTAs restore from the PCRF first.
-        if (st.acrf->canAllocate(warp_regs)) {
-            if (Cta *pending = st.ready.best(now)) {
-                restoreCta(sm, *pending, now, 0);
-                continue;
-            }
+    const Rmu::Gather &gather = st.rmu->gatherLiveRegs(cta, now);
+    const unsigned n_live = gather.totalRegs;
+    // The outgoing drain is pipelined through the RMU's staging buffer
+    // (Sec. V-E), so the incoming CTA pays only the fixed switch
+    // initiation cost (plus its own restore chain when resuming).
+    const Cycle base_latency = switchLatency();
+
+    // Injected fault: a canStore query may be forced to report the PCRF
+    // full, pushing the switch onto the Fig. 6(b) swap path.
+    FaultInjector *fault = gpu().faultInjector();
+    const bool pcrf_has_room =
+        st.pcrf->canStore(n_live) && !(fault && fault->forcePcrfFull());
+
+    if (pcrf_has_room) {
+        // Fig. 6(a): free PCRF slots — evict and introduce a CTA.
+        evictCta(sm, cta, gather, now);
+        if (ready_pending) {
+            reclaimContext(sm, *ready_pending);
+            resume(*this, sm, *ready_pending, now, base_latency);
+        } else {
+            launchIntoSlot(*this, sm, now);
         }
-        // Fresh grid CTAs while the ACRF and shared memory have room.
-        if (launched < 2 && dispatcher().hasWork() &&
-            sm.shmemFree() >= kernel.shmemPerCta() &&
-            st.acrf->canAllocate(warp_regs) && sm.hasResidencyHeadroom()) {
-            Cta *cta = sm.launchCta(dispatcher().pop(), now);
-            cta->regAllocHandle = st.acrf->allocate(warp_regs);
-            st.monitor.onLaunch(cta->gridId());
-            ++launched;
-            continue;
-        }
-        // Anti-idle fallback: restore the soonest pending CTA.
-        if (launched > 0)
-            break;
-        if (st.acrf->canAllocate(warp_regs)) {
-            if (Cta *pending = st.ready.best(kNoCycle - 1)) {
-                restoreCta(sm, *pending, now, 0);
-                continue;
-            }
-        }
-        break;
-    }
-}
-
-Policy::SwitchPartner
-FineRegPolicy::findPartner(Sm &sm, Cycle now) const
-{
-    const Kernel &kernel = sm.context().kernel();
-    SwitchPartner partner;
-    partner.canGrow = dispatcher().hasWork() &&
-                      sm.shmemFree() >= kernel.shmemPerCta() &&
-                      sm.hasResidencyHeadroom() && !pendingSaturated(sm);
-    partner.readyPending = state(sm).ready.best(now);
-    return partner;
-}
-
-void
-FineRegPolicy::switchStalledCtas(Sm &sm, Cycle now)
-{
-    SmState &st = state(sm);
-    const Kernel &kernel = sm.context().kernel();
-    const unsigned warp_regs = kernel.warpRegsPerCta();
-    const auto would_switch = [&](Cta &) {
-        return static_cast<bool>(findPartner(sm, now));
-    };
-
-    // Partner first: without one no stalled CTA can leave, so skip the
-    // scan for them.
-    if (!findPartner(sm, now)) {
-        noPartner_->inc();
-        checkNoSwitchMissed(sm, now, would_switch);
         return;
     }
-    const std::vector<Cta *> &stalled = collectStalledCtas(sm, now);
-    stalledFound_->inc(stalled.size());
 
-    for (Cta *cta : stalled) {
-        // A failed test changes no state, so it fails for every later
-        // CTA too.
-        const SwitchPartner partner = findPartner(sm, now);
-        if (!partner) {
-            noPartner_->inc();
-            checkNoSwitchMissed(sm, now, would_switch);
-            break;
+    // Fig. 6(b): PCRF full — context switch only, and only when the
+    // stalled CTA's live set fits the free slots plus those the departing
+    // pending CTA releases (Sec. V-E). If the soonest-ready pending CTA's
+    // chain is too short to make room, take the earliest-launched ready
+    // CTA whose chain frees enough entries.
+    if (ready_pending &&
+        n_live > st.pcrf->freeEntries() +
+                     st.pcrf->liveCountOf(ready_pending->gridId())) {
+        Cta *fitting = nullptr;
+        for (const ReadyQueue::Entry &entry : readyOf(sm)) {
+            if (entry.ready > now)
+                break;
+            if (n_live <= st.pcrf->freeEntries() +
+                              st.pcrf->liveCountOf(entry.cta->gridId()) &&
+                (!fitting || entry.launchSeq < fitting->launchSeq()))
+                fitting = entry.cta;
         }
-        Cta *ready_pending = partner.readyPending;
-
-        const Rmu::Gather &gather = st.rmu->gatherLiveRegs(*cta, now);
-        const unsigned n_live = gather.totalRegs;
-        // The outgoing drain is pipelined through the RMU's staging buffer
-        // (Sec. V-E), so the incoming CTA pays only the fixed switch
-        // initiation cost (plus its own restore chain when resuming).
-        const Cycle base_latency = switchLatency();
-
-        // Injected fault: a canStore query may be forced to report the
-        // PCRF full, pushing the switch onto the Fig. 6(b) swap path.
-        FaultInjector *fault = gpu().faultInjector();
-        const bool pcrf_has_room =
-            st.pcrf->canStore(n_live) && !(fault && fault->forcePcrfFull());
-
-        if (pcrf_has_room) {
-            // Fig. 6(a): free PCRF slots — evict and introduce a CTA.
-            evictCta(sm, *cta, gather, now);
-            if (ready_pending) {
-                restoreCta(sm, *ready_pending, now, base_latency);
-            } else {
-                Cta *fresh = sm.launchCta(dispatcher().pop(), now);
-                fresh->regAllocHandle = st.acrf->allocate(warp_regs);
-                st.monitor.onLaunch(fresh->gridId());
-                for (auto &warp : fresh->warps())
-                    warp->setEarliestIssue(now + base_latency);
-            }
-            continue;
-        }
-
-        // Fig. 6(b): PCRF full — context switch only, and only when the
-        // stalled CTA's live set fits the free slots plus those the
-        // departing pending CTA releases (Sec. V-E). If the soonest-ready
-        // pending CTA's chain is too short to make room, take the
-        // earliest-launched ready CTA whose chain frees enough entries.
-        if (ready_pending &&
-            n_live > st.pcrf->freeEntries() +
-                         st.pcrf->liveCountOf(ready_pending->gridId())) {
-            Cta *fitting = nullptr;
-            for (const ReadyQueue::Entry &entry : st.ready) {
-                if (entry.ready > now)
-                    break;
-                if (n_live <= st.pcrf->freeEntries() +
-                                  st.pcrf->liveCountOf(entry.cta->gridId()) &&
-                    (!fitting || entry.launchSeq < fitting->launchSeq()))
-                    fitting = entry.cta;
-            }
-            if (fitting)
-                ready_pending = fitting;
-        }
-        if (ready_pending) {
-            const unsigned freed =
-                st.pcrf->liveCountOf(ready_pending->gridId());
-            if (n_live <= st.pcrf->freeEntries() + freed) {
-                // Stage the pending CTA's registers through the RMU's
-                // 128-byte buffer: drain its PCRF chain first so the
-                // stalled CTA's live set fits, then swap slots.
-                st.posScratch.resize(ready_pending->numWarps());
-                st.pcrf->restoreCtaLastPositions(ready_pending->gridId(),
-                                                 st.posScratch);
-
-                evictCta(sm, *cta, gather, now);
-
-                ready_pending->regAllocHandle =
-                    st.acrf->allocate(warp_regs);
-                st.ready.erase(*ready_pending);
-                st.monitor.setContext(ready_pending->gridId(),
-                                      ContextLocation::Pipeline);
-                st.monitor.setRegisters(ready_pending->gridId(),
-                                        RegisterLocation::Acrf);
-                sm.resumeCta(*ready_pending, now, base_latency);
-                wakeWarpsAsRegistersArrive(sm, *ready_pending,
-                                           st.posScratch,
-                                           now + base_latency);
-                continue;
-            }
-        }
-
-        // Sec. V-B "rare situations": the stalled CTA must stay in the
-        // ACRF until the PCRF drains. This is a register-file-depletion
-        // stall when there is otherwise runnable work.
-        if (ready_pending || dispatcher().hasWork())
-            st.pcrfBlocked = true;
+        if (fitting)
+            ready_pending = fitting;
     }
-}
+    if (ready_pending &&
+        n_live <= st.pcrf->freeEntries() +
+                      st.pcrf->liveCountOf(ready_pending->gridId())) {
+        // Stage the pending CTA's registers through the RMU's 128-byte
+        // buffer: drain its PCRF chain first so the stalled CTA's live
+        // set fits, then swap slots.
+        reclaimContext(sm, *ready_pending);
+        evictCta(sm, cta, gather, now);
+        resume(*this, sm, *ready_pending, now, base_latency);
+        return;
+    }
 
-void
-FineRegPolicy::tick(Sm &sm, Cycle now)
-{
-    SmState &st = state(sm);
-    st.pcrfBlocked = false;
-    fillActiveSlots(sm, now);
-    switchStalledCtas(sm, now);
+    // Sec. V-B "rare situations": the stalled CTA must stay in the ACRF
+    // until the PCRF drains. This is a register-file-depletion stall
+    // when there is otherwise runnable work.
+    if (ready_pending || dispatcher().hasWork())
+        markDepleted(sm);
 }
 
 void
@@ -306,19 +209,6 @@ FineRegPolicy::onCtaFinished(Sm &sm, Cta &cta, Cycle)
     }
     st.acrf->free(cta.regAllocHandle);
     st.monitor.onRetire(cta.gridId());
-    st.ready.erase(cta);
-}
-
-bool
-FineRegPolicy::rfDepletionBlocked(const Sm &sm, Cycle) const
-{
-    return state(sm).pcrfBlocked;
-}
-
-Cycle
-FineRegPolicy::nextEventCycle(const Sm &sm, Cycle now) const
-{
-    return state(sm).ready.nextEvent(now);
 }
 
 void
@@ -420,7 +310,7 @@ FineRegPolicy::audit(const Sm &sm, Cycle now) const
             << " CTAs but " << active + pending << " are resident";
         raiseInvariant("monitor-state", oss.str(), kInvalidId, sm_id, now);
     }
-    auditReadyQueues(sm, now, {&st.ready});
+    auditReadyQueues(sm, now, {&readyOf(sm)});
 }
 
 std::uint64_t

@@ -19,9 +19,7 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "policies/policy.hh"
-#include "policies/ready_queue.hh"
-#include "sm/sm.hh"
+#include "policies/switching_policy.hh"
 #include "regfile/cta_status_monitor.hh"
 #include "regfile/pcrf.hh"
 #include "regfile/register_file.hh"
@@ -30,15 +28,13 @@
 namespace finereg
 {
 
-class FineRegPolicy : public Policy
+class FineRegPolicy final : public SwitchingPolicy
 {
   public:
     const char *name() const override { return "FineReg"; }
 
-    void tick(Sm &sm, Cycle now) override;
+    void tick(Sm &sm, Cycle now) override { switchingTick(*this, sm, now); }
     void onCtaFinished(Sm &sm, Cta &cta, Cycle now) override;
-    bool rfDepletionBlocked(const Sm &sm, Cycle now) const override;
-    Cycle nextEventCycle(const Sm &sm, Cycle now) const override;
 
     /** Invariant auditor: PCRF chains, ACRF accounting, Table IV states. */
     void audit(const Sm &sm, Cycle now) const override;
@@ -58,30 +54,22 @@ class FineRegPolicy : public Policy
         return *state(sm).acrf;
     }
 
-    /** Pending CTAs and their operand-ready estimates. */
-    const ReadyQueue &readyOf(const Sm &sm) const { return state(sm).ready; }
-
     /** Mutable introspection for corruption/fault-injection tests. */
     Pcrf &mutablePcrfOf(const Sm &sm) { return *state(sm).pcrf; }
     RegFileAllocator &mutableAcrfOf(const Sm &sm) { return *state(sm).acrf; }
-    ReadyQueue &mutableReadyOf(const Sm &sm) { return state(sm).ready; }
 
   protected:
     void onBind() override;
 
   private:
+    friend class SwitchingPolicy;
+
     struct SmState
     {
         std::unique_ptr<RegFileAllocator> acrf;
         std::unique_ptr<Pcrf> pcrf;
         std::unique_ptr<Rmu> rmu;
         CtaStatusMonitor monitor;
-
-        /** Pending CTAs by estimated operand-ready cycle. */
-        ReadyQueue ready;
-
-        /** Fig. 14 flag: a switch was blocked by PCRF depletion. */
-        bool pcrfBlocked = false;
 
         /** Scratch for restoreCtaLastPositions (per-warp 1-based chain
          * position of the last restored register); reused every switch
@@ -91,27 +79,30 @@ class FineRegPolicy : public Policy
 
     SmState &state(const Sm &sm) const { return *states_[sm.id()]; }
 
-    /** Partner test: a fresh grid CTA can grow the resident set, or a
-     * pending CTA is ready to resume. */
-    SwitchPartner findPartner(Sm &sm, Cycle now) const;
+    /** Hooks (switching_policy.hh). Every fill branch needs a full ACRF
+     * allocation; a restore drains the CTA's PCRF chain (positions into
+     * posScratch), allocates the ACRF, and wakes each warp as its
+     * registers land, so a fill restore pays no switch latency. */
+    bool
+    canFill(const Sm &sm) const
+    {
+        return state(sm).acrf->canAllocate(
+            sm.context().kernel().warpRegsPerCta());
+    }
+    bool reclaimContext(Sm &sm, Cta &cta);
+    void onResumed(Sm &sm, Cta &cta, Cycle wake);
+    Cycle fillResumeLatency() const { return 0; }
+    void onLaunched(Sm &sm, Cta &cta);
+    void countStalled(std::size_t n) { stalledFound_->inc(n); }
+    void countNoPartner() { noPartner_->inc(); }
 
-    /** Restore a pending CTA into the ACRF (allocates full set). */
-    void restoreCta(Sm &sm, Cta &cta, Cycle now, Cycle extra_latency);
-
-    /**
-     * Pipelined chain walk: wake each warp when its registers land.
-     * @p last_pos holds, per warp, the 1-based chain position of the
-     * warp's final register (0 = none in the chain).
-     */
-    void wakeWarpsAsRegistersArrive(Sm &sm, Cta &cta,
-                                    const std::vector<unsigned> &last_pos,
-                                    Cycle start);
+    /** Fig. 6: evict @p cta to the PCRF and restore or launch a partner,
+     * or swap with a ready CTA whose chain frees enough PCRF entries. */
+    void switchOut(Sm &sm, Cta &cta, const SwitchPartner &partner,
+                   Cycle now);
 
     /** Evict a fully stalled CTA's live registers into the PCRF. */
     void evictCta(Sm &sm, Cta &cta, const Rmu::Gather &gather, Cycle now);
-
-    void fillActiveSlots(Sm &sm, Cycle now);
-    void switchStalledCtas(Sm &sm, Cycle now);
 
     mutable std::vector<std::unique_ptr<SmState>> states_;
 

@@ -19,22 +19,26 @@
 namespace finereg
 {
 
-class RegDramPolicy : public VirtualThreadPolicy
+class RegDramPolicy final : public VirtualThreadPolicy
 {
   public:
     const char *name() const override { return "Reg+DRAM"; }
 
-    void tick(Sm &sm, Cycle now) override;
-    void onCtaFinished(Sm &sm, Cta &cta, Cycle now) override;
+    void tick(Sm &sm, Cycle now) override { switchingTick(*this, sm, now); }
     Cycle nextEventCycle(const Sm &sm, Cycle now) const override;
 
     /** Auditor: RF accounting and both tiers' ready queues. */
     void audit(const Sm &sm, Cycle now) const override;
 
+    /** Either tier's ready estimate. */
+    Cycle readyCycle(const Sm &sm, const Cta &cta) const override;
+
   protected:
     void onBind() override;
 
   private:
+    friend class SwitchingPolicy;
+
     struct DramState
     {
         /** CTAs whose register context lives in DRAM, by the cycle their
@@ -58,25 +62,23 @@ class RegDramPolicy : public VirtualThreadPolicy
     /** Promote a DRAM CTA back: allocate RF, stream context in, resume. */
     void promoteFromDram(Sm &sm, Cta &cta, Cycle now);
 
+    /** Fill: promote a ready DRAM-tier CTA if its registers fit again. */
+    bool resumeSecondTier(Sm &sm, Cycle now);
+
     /** Cycles the DRAM channel needs to move one CTA's full context. */
     Cycle contextCycles(const Sm &sm) const;
 
-    /** Partner test: Virtual Thread's, or room to demote a stalled CTA
-     * to the DRAM tier for a fresh or ready DRAM-tier CTA. */
-    struct DramPartner
-    {
-        SwitchPartner onChip;
-        bool dramTier = false; ///< test (c) passes but for the stall length
-        explicit operator bool() const { return onChip || dramTier; }
-    };
-    DramPartner findDramPartner(Sm &sm, Cycle now) const;
+    /** The CTA-independent half of switch (c): room to demote a stalled
+     * CTA to the DRAM tier for a fresh or ready DRAM-tier CTA. */
+    bool demoteRoom(const Sm &sm, Cycle now) const;
 
-    /** The per-CTA half of test (c): the stall, ending at
-     * @p ready_estimate, outlasts the context round trip. */
+    /** The per-CTA half of (c): the stall, ending at @p ready_estimate,
+     * outlasts the context round trip. */
     bool worthDemoting(const Sm &sm, Cycle ready_estimate, Cycle now) const;
 
-    void fillSlotsWithDramTier(Sm &sm, Cycle now);
-    void switchStalledWithDramTier(Sm &sm, Cycle now);
+    /** Virtual Thread's switch with an on-chip partner, else (c). */
+    void switchOut(Sm &sm, Cta &cta, const SwitchPartner &partner,
+                   Cycle now);
 
     mutable std::vector<DramState> dramStates_;
 };

@@ -15,6 +15,7 @@ namespace finereg
 void
 RegMutexPolicy::onBind()
 {
+    SwitchingPolicy::onBind();
     const double srp_ratio = config().policy.srpRatio;
     if (srp_ratio < 0.0 || srp_ratio >= 1.0) {
         std::ostringstream oss;
@@ -70,8 +71,8 @@ RegMutexPolicy::extendedWarpRegsPerCta(const Sm &sm) const
 bool
 RegMutexPolicy::setSrpHolding(SmState &st, GridCtaId cta, unsigned target)
 {
-    const unsigned held =
-        st.srpHeld.count(cta) ? st.srpHeld[cta] : 0;
+    auto it = st.srp.find(cta);
+    const unsigned held = it == st.srp.end() ? 0 : it->second.held;
     if (target == held)
         return true;
 
@@ -81,10 +82,13 @@ RegMutexPolicy::setSrpHolding(SmState &st, GridCtaId cta, unsigned target)
     }
 
     // Reallocate the holding as one fresh grant.
-    if (st.srpHandle.count(cta) && st.srpHandle[cta] != 0)
-        st.srpPool->free(st.srpHandle[cta]);
-    st.srpHandle[cta] = target > 0 ? st.srpPool->allocate(target) : 0;
-    st.srpHeld[cta] = target;
+    if (it == st.srp.end())
+        it = st.srp.emplace(cta, SrpGrant{}).first;
+    SrpGrant &grant = it->second;
+    if (grant.handle != 0)
+        st.srpPool->free(grant.handle);
+    grant.handle = target > 0 ? st.srpPool->allocate(target) : 0;
+    grant.held = target;
     return true;
 }
 
@@ -109,150 +113,54 @@ RegMutexPolicy::liveExtendedRegs(const Sm &sm, const Cta &cta) const
 }
 
 void
-RegMutexPolicy::fillActiveSlots(Sm &sm, Cycle now)
+RegMutexPolicy::onLaunched(Sm &sm, Cta &cta)
 {
     SmState &st = state(sm);
-    const Kernel &kernel = sm.context().kernel();
-    const unsigned brs_warp_regs =
-        brsRegsPerThread(sm) * kernel.warpsPerCta();
-    const unsigned ext_regs = extendedWarpRegsPerCta(sm);
-
-    unsigned launched = 0;
-    while (sm.canActivateCta()) {
-        // Resume a ready pending CTA: it must re-acquire its full
-        // extended set from the SRP before re-entering the pipeline.
-        if (Cta *pending = st.ready.best(now)) {
-            if (!setSrpHolding(st, pending->gridId(), ext_regs)) {
-                st.srpBlocked = true; // ready work blocked on SRP
-                break;
-            }
-            st.ready.erase(*pending);
-            sm.resumeCta(*pending, now, switchLatency());
-            continue;
-        }
-        // Launch a fresh CTA: BRS allocation + SRP grant.
-        if (launched < 2 && dispatcher().hasWork() &&
-            sm.shmemFree() >= kernel.shmemPerCta() &&
-            st.brsPool->canAllocate(brs_warp_regs) &&
-            sm.hasResidencyHeadroom()) {
-            if (!st.srpPool->canAllocate(ext_regs)) {
-                st.srpBlocked = true;
-                break;
-            }
-            Cta *cta = sm.launchCta(dispatcher().pop(), now);
-            cta->regAllocHandle = st.brsPool->allocate(brs_warp_regs);
-            setSrpHolding(st, cta->gridId(), ext_regs);
-            ++launched;
-            continue;
-        }
-        // Anti-idle fallback: resume the soonest pending CTA if its SRP
-        // demand fits.
-        if (launched > 0)
-            break;
-        if (Cta *pending = st.ready.best(kNoCycle - 1)) {
-            if (!setSrpHolding(st, pending->gridId(), ext_regs))
-                break;
-            st.ready.erase(*pending);
-            sm.resumeCta(*pending, now, switchLatency());
-            continue;
-        }
-        break;
-    }
-}
-
-Policy::SwitchPartner
-RegMutexPolicy::findPartner(Sm &sm, Cycle now) const
-{
-    const Kernel &kernel = sm.context().kernel();
-    const unsigned brs_warp_regs =
-        brsRegsPerThread(sm) * kernel.warpsPerCta();
-    SwitchPartner partner;
-    partner.canGrow = dispatcher().hasWork() &&
-                      state(sm).brsPool->canAllocate(brs_warp_regs) &&
-                      sm.shmemFree() >= kernel.shmemPerCta() &&
-                      sm.hasResidencyHeadroom() && !pendingSaturated(sm);
-    partner.readyPending = state(sm).ready.best(now);
-    return partner;
+    cta.regAllocHandle = st.brsPool->allocate(brsWarpRegsPerCta(sm));
+    setSrpHolding(st, cta.gridId(), extendedWarpRegsPerCta(sm));
 }
 
 void
-RegMutexPolicy::switchStalledCtas(Sm &sm, Cycle now)
+RegMutexPolicy::switchOut(Sm &sm, Cta &cta, const SwitchPartner &partner,
+                          Cycle now)
 {
-    SmState &st = state(sm);
     const Kernel &kernel = sm.context().kernel();
-    const unsigned brs_warp_regs =
-        brsRegsPerThread(sm) * kernel.warpsPerCta();
-    const unsigned ext_regs = extendedWarpRegsPerCta(sm);
-    const auto would_switch = [&](Cta &) {
-        return static_cast<bool>(findPartner(sm, now));
-    };
 
-    // Partner first: without one no stalled CTA can leave, so skip the
-    // scan for them.
-    if (!findPartner(sm, now)) {
-        checkNoSwitchMissed(sm, now, would_switch);
-        return;
-    }
-    for (Cta *cta : collectStalledCtas(sm, now)) {
-        // A failed test changes no state, so it fails for every later
-        // CTA too.
-        const SwitchPartner partner = findPartner(sm, now);
-        if (!partner) {
-            checkNoSwitchMissed(sm, now, would_switch);
-            break;
-        }
+    // RegMutex does NOT release SRP held by live extended registers when
+    // a CTA stalls; only the dead portion returns to the pool.
+    const unsigned keep =
+        std::min(extendedWarpRegsPerCta(sm), liveExtendedRegs(sm, cta));
 
-        // RegMutex does NOT release SRP held by live extended registers
-        // when a CTA stalls; only the dead portion returns to the pool.
-        const unsigned keep =
-            std::min(ext_regs, liveExtendedRegs(sm, *cta));
-
-        // Value tracking: the released (dead) extended registers lose
-        // their contents; BRS and live extended registers survive.
-        if (CtaValues *values = cta->values()) {
-            const unsigned brs = brsRegsPerThread(sm);
-            const unsigned regs = kernel.regsPerThread();
-            const auto &table = sm.context().liveTable();
-            for (const auto &warp : cta->warps()) {
-                if (warp->finished())
-                    continue;
-                RegBitVec keep_mask;
-                for (unsigned r = 0; r < brs && r < regs; ++r)
-                    keep_mask.set(static_cast<RegIndex>(r));
-                for (const auto &entry : warp->simtStack())
-                    keep_mask |= table.lookup(entry.pc);
-                values->dropDeadRegs(warp->id(), keep_mask);
-            }
-        }
-
-        st.ready.push(*cta, cta->estimateReadyCycle(now));
-        sm.suspendCta(*cta, now);
-        setSrpHolding(st, cta->gridId(), keep);
-
-        Cta *ready_pending = partner.readyPending;
-        if (partner.canGrow && st.srpPool->canAllocate(ext_regs)) {
-            Cta *fresh = sm.launchCta(dispatcher().pop(), now);
-            fresh->regAllocHandle = st.brsPool->allocate(brs_warp_regs);
-            setSrpHolding(st, fresh->gridId(), ext_regs);
-            for (auto &warp : fresh->warps())
-                warp->setEarliestIssue(now + switchLatency());
-        } else if (ready_pending &&
-                   setSrpHolding(st, ready_pending->gridId(), ext_regs)) {
-            st.ready.erase(*ready_pending);
-            sm.resumeCta(*ready_pending, now, switchLatency());
-        } else {
-            st.srpBlocked = true; // work existed; SRP said no
+    // Value tracking: the released (dead) extended registers lose their
+    // contents; BRS and live extended registers survive.
+    if (CtaValues *values = cta.values()) {
+        const unsigned brs = brsRegsPerThread(sm);
+        const unsigned regs = kernel.regsPerThread();
+        const auto &table = sm.context().liveTable();
+        for (const auto &warp : cta.warps()) {
+            if (warp->finished())
+                continue;
+            RegBitVec keep_mask;
+            for (unsigned r = 0; r < brs && r < regs; ++r)
+                keep_mask.set(static_cast<RegIndex>(r));
+            for (const auto &entry : warp->simtStack())
+                keep_mask |= table.lookup(entry.pc);
+            values->dropDeadRegs(warp->id(), keep_mask);
         }
     }
-}
 
-void
-RegMutexPolicy::tick(Sm &sm, Cycle now)
-{
-    SmState &st = state(sm);
-    st.srpBlocked = false;
-    fillActiveSlots(sm, now);
-    switchStalledCtas(sm, now);
+    mutableReadyOf(sm).push(cta, cta.estimateReadyCycle(now));
+    sm.suspendCta(cta, now);
+    setSrpHolding(state(sm), cta.gridId(), keep);
+
+    if (partner.canGrow && grantsLaunch(sm)) {
+        launchIntoSlot(*this, sm, now);
+    } else if (partner.readyPending &&
+               reclaimContext(sm, *partner.readyPending)) {
+        resume(*this, sm, *partner.readyPending, now, switchLatency());
+    } else {
+        markDepleted(sm); // work existed; SRP said no
+    }
 }
 
 void
@@ -261,21 +169,7 @@ RegMutexPolicy::onCtaFinished(Sm &sm, Cta &cta, Cycle)
     SmState &st = state(sm);
     st.brsPool->free(cta.regAllocHandle);
     setSrpHolding(st, cta.gridId(), 0);
-    st.srpHeld.erase(cta.gridId());
-    st.srpHandle.erase(cta.gridId());
-    st.ready.erase(cta);
-}
-
-bool
-RegMutexPolicy::rfDepletionBlocked(const Sm &sm, Cycle) const
-{
-    return state(sm).srpBlocked;
-}
-
-Cycle
-RegMutexPolicy::nextEventCycle(const Sm &sm, Cycle now) const
-{
-    return state(sm).ready.nextEvent(now);
+    st.srp.erase(cta.gridId());
 }
 
 void
@@ -304,16 +198,13 @@ RegMutexPolicy::audit(const Sm &sm, Cycle now) const
     // SRP conservation: the pool's usage must equal the sum of per-CTA
     // holdings, and every non-zero holding must have a matching grant.
     unsigned expected_srp = 0;
-    for (const auto &[cta, held] : st.srpHeld) {
-        expected_srp += held;
-        const auto grant = st.srpHandle.find(cta);
+    for (const auto &[cta, grant] : st.srp) {
+        expected_srp += grant.held;
         const unsigned granted =
-            grant == st.srpHandle.end() || grant->second == 0
-                ? 0
-                : st.srpPool->allocationSize(grant->second);
-        if (granted != held) {
+            grant.handle == 0 ? 0 : st.srpPool->allocationSize(grant.handle);
+        if (granted != grant.held) {
             std::ostringstream oss;
-            oss << "SRP holding of " << held
+            oss << "SRP holding of " << grant.held
                 << " warp-regs backed by a grant of " << granted;
             raiseInvariant("srp-accounting", oss.str(), cta, sm.id(), now);
         }
@@ -325,7 +216,7 @@ RegMutexPolicy::audit(const Sm &sm, Cycle now) const
         raiseInvariant("srp-accounting", oss.str(), kInvalidId, sm.id(),
                        now);
     }
-    auditReadyQueues(sm, now, {&st.ready});
+    auditReadyQueues(sm, now, {&readyOf(sm)});
 }
 
 } // namespace finereg

@@ -17,23 +17,19 @@
 #include <unordered_map>
 #include <vector>
 
-#include "policies/policy.hh"
-#include "policies/ready_queue.hh"
-#include "sm/sm.hh"
+#include "policies/switching_policy.hh"
 #include "regfile/register_file.hh"
 
 namespace finereg
 {
 
-class RegMutexPolicy : public Policy
+class RegMutexPolicy final : public SwitchingPolicy
 {
   public:
     const char *name() const override { return "VT+RegMutex"; }
 
-    void tick(Sm &sm, Cycle now) override;
+    void tick(Sm &sm, Cycle now) override { switchingTick(*this, sm, now); }
     void onCtaFinished(Sm &sm, Cta &cta, Cycle now) override;
-    bool rfDepletionBlocked(const Sm &sm, Cycle now) const override;
-    Cycle nextEventCycle(const Sm &sm, Cycle now) const override;
 
     /** Auditor: BRS allocation accounting, SRP holding conservation and
      * the ready queue. */
@@ -49,22 +45,21 @@ class RegMutexPolicy : public Policy
     void onBind() override;
 
   private:
+    friend class SwitchingPolicy;
+
+    /** A CTA's SRP holding: warp-registers held and the allocator grant
+     * backing them (handle 0 when holding nothing). */
+    struct SrpGrant
+    {
+        unsigned held = 0;
+        unsigned handle = 0;
+    };
+
     struct SmState
     {
         std::unique_ptr<RegFileAllocator> brsPool;
         std::unique_ptr<RegFileAllocator> srpPool;
-
-        /** Pending CTAs by estimated ready cycle. */
-        ReadyQueue ready;
-
-        /** CTA -> SRP warp-registers currently held. */
-        std::unordered_map<GridCtaId, unsigned> srpHeld;
-
-        /** CTA -> SRP allocator handle (0 when holding nothing). */
-        std::unordered_map<GridCtaId, unsigned> srpHandle;
-
-        /** Fig. 14 flag: this tick, schedulable work was blocked on SRP. */
-        bool srpBlocked = false;
+        std::unordered_map<GridCtaId, SrpGrant> srp;
     };
 
     SmState &state(const Sm &sm) const { return *states_[sm.id()]; }
@@ -76,11 +71,38 @@ class RegMutexPolicy : public Policy
     /** Live extended warp-registers of a stalled CTA (what it keeps). */
     unsigned liveExtendedRegs(const Sm &sm, const Cta &cta) const;
 
-    /** Partner test: a fresh grid CTA fits the BRS pool, or a pending
-     * CTA is ready to resume. */
-    SwitchPartner findPartner(Sm &sm, Cycle now) const;
-    void fillActiveSlots(Sm &sm, Cycle now);
-    void switchStalledCtas(Sm &sm, Cycle now);
+    /** BRS warp-registers one CTA allocates statically. */
+    unsigned
+    brsWarpRegsPerCta(const Sm &sm) const
+    {
+        return brsRegsPerThread(sm) * sm.context().kernel().warpsPerCta();
+    }
+
+    /** Hooks (switching_policy.hh): a fresh CTA needs its BRS allocation,
+     * then an SRP grant for its extended set; a resuming CTA re-acquires
+     * its full extended set from the SRP. */
+    bool
+    hasLaunchRoom(const Sm &sm) const
+    {
+        return state(sm).brsPool->canAllocate(brsWarpRegsPerCta(sm));
+    }
+    bool
+    grantsLaunch(const Sm &sm) const
+    {
+        return state(sm).srpPool->canAllocate(extendedWarpRegsPerCta(sm));
+    }
+    void onLaunched(Sm &sm, Cta &cta);
+    bool
+    reclaimContext(Sm &sm, Cta &cta)
+    {
+        return setSrpHolding(state(sm), cta.gridId(),
+                             extendedWarpRegsPerCta(sm));
+    }
+
+    /** Release the dead part of @p cta's extended set, park it, then
+     * launch or resume a partner if the SRP grants it. */
+    void switchOut(Sm &sm, Cta &cta, const SwitchPartner &partner,
+                   Cycle now);
 
     mutable std::vector<std::unique_ptr<SmState>> states_;
 };

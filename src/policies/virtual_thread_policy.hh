@@ -15,22 +15,19 @@
 #include <memory>
 #include <vector>
 
-#include "policies/policy.hh"
-#include "policies/ready_queue.hh"
-#include "sm/sm.hh"
+#include "policies/switching_policy.hh"
 #include "regfile/register_file.hh"
 
 namespace finereg
 {
 
-class VirtualThreadPolicy : public Policy
+class VirtualThreadPolicy : public SwitchingPolicy
 {
   public:
     const char *name() const override { return "VirtualThread"; }
 
-    void tick(Sm &sm, Cycle now) override;
+    void tick(Sm &sm, Cycle now) override { switchingTick(*this, sm, now); }
     void onCtaFinished(Sm &sm, Cta &cta, Cycle now) override;
-    Cycle nextEventCycle(const Sm &sm, Cycle now) const override;
 
     /** Auditor: RF accounting and the ready queue. */
     void audit(const Sm &sm, Cycle now) const override;
@@ -42,36 +39,37 @@ class VirtualThreadPolicy : public Policy
     }
 
   protected:
+    friend class SwitchingPolicy;
+
     void onBind() override;
 
-    struct SmState
-    {
-        std::unique_ptr<RegFileAllocator> rf;
-        /** Pending CTAs by estimated ready cycle. */
-        ReadyQueue ready;
-    };
+    RegFileAllocator &rf(const Sm &sm) const { return *rfs_[sm.id()]; }
 
-    SmState &state(const Sm &sm) const
+    /** Hooks (switching_policy.hh): a fresh CTA takes its full
+     * allocation in the register file. */
+    bool
+    hasLaunchRoom(const Sm &sm) const
     {
-        return *states_[sm.id()];
+        return rf(sm).canAllocate(sm.context().kernel().warpRegsPerCta());
+    }
+    void
+    onLaunched(Sm &sm, Cta &cta)
+    {
+        cta.regAllocHandle =
+            rf(sm).allocate(sm.context().kernel().warpRegsPerCta());
     }
 
-    /** Resume ready pending CTAs and launch grid CTAs into free slots. */
-    void fillActiveSlots(Sm &sm, Cycle now);
-
-    /** Partner test: a fresh grid CTA fits the register file, or a
-     * pending CTA is ready to resume. Reg+DRAM's on-chip half. */
-    SwitchPartner findPartner(Sm &sm, Cycle now) const;
-
-    /** Detect fully stalled active CTAs and switch them out. */
-    void switchStalledCtas(Sm &sm, Cycle now);
+    /** Park @p cta's pipeline context (its registers stay put), then
+     * launch a fresh CTA or resume the ready one in its slot. */
+    void switchOut(Sm &sm, Cta &cta, const SwitchPartner &partner,
+                   Cycle now);
 
     /** RF accounting over handle-holding resident CTAs (also covers
      * Reg+DRAM, whose demoted CTAs hold no handle). */
     void auditRegFile(const Sm &sm, Cycle now) const;
 
   private:
-    mutable std::vector<std::unique_ptr<SmState>> states_;
+    std::vector<std::unique_ptr<RegFileAllocator>> rfs_;
 };
 
 } // namespace finereg

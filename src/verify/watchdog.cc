@@ -61,8 +61,9 @@ buildStallDiagnostic(Gpu &gpu, Cycle now, Cycle last_progress)
     oss << "dispatcher: " << disp.completed() << "/" << disp.gridCtas()
         << " CTAs complete, " << disp.remaining() << " undispatched\n";
 
-    const auto *finereg =
-        dynamic_cast<const FineRegPolicy *>(&gpu.policy());
+    const auto *switching =
+        dynamic_cast<const SwitchingPolicy *>(&gpu.policy());
+    const auto *finereg = dynamic_cast<const FineRegPolicy *>(switching);
 
     for (auto &sm : gpu.sms()) {
         oss << "sm " << sm->id() << ": " << sm->activeCtaCount()
@@ -117,10 +118,15 @@ buildStallDiagnostic(Gpu &gpu, Cycle now, Cycle last_progress)
             if (cta->state() != CtaState::Pending)
                 continue;
             oss << "  pending cta " << cta->gridId();
-            if (finereg) {
-                oss << ": " << finereg->pcrfOf(*sm).liveCountOf(cta->gridId())
-                    << " live regs in pcrf, ready at cycle "
-                    << finereg->readyOf(*sm).readyCycle(*cta, 0);
+            if (switching) {
+                oss << ":";
+                if (finereg) {
+                    oss << " "
+                        << finereg->pcrfOf(*sm).liveCountOf(cta->gridId())
+                        << " live regs in pcrf,";
+                }
+                oss << " ready at cycle "
+                    << switching->readyCycle(*sm, *cta);
             }
             oss << "\n";
         }

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <set>
 
+#include "core/cli_options.hh"
 #include "isa/kernel_builder.hh"
 #include "policies/finereg_policy.hh"
 #include "policies/regmutex_policy.hh"
@@ -231,8 +232,8 @@ struct StallTick
     bool slotsFull = false;
     bool gridWork = false;
     bool headroom = false;
-    /** Soonest pending-ready estimate (kNoCycle: none). Read from
-     * FineReg's ready queue; kNoCycle under other policies. */
+    /** Soonest pending-ready estimate in the ready queue (kNoCycle:
+     * none, or the policy does not switch). */
     Cycle earliestReady = kNoCycle;
     unsigned switchedOut = 0; ///< stalled CTAs no longer Active after
     /** Of those, ones left holding no register allocation: under
@@ -249,8 +250,8 @@ class SwitchProbe final : public SteppingPolicy
   public:
     using SteppingPolicy::SteppingPolicy;
 
-    /** The wrapped policy when it is FineReg, else null. */
-    const FineRegPolicy *fineReg = nullptr;
+    /** The wrapped policy when it is a switching policy, else null. */
+    const SwitchingPolicy *switching = nullptr;
 
     void
     tick(Sm &sm, Cycle now) override
@@ -270,8 +271,8 @@ class SwitchProbe final : public SteppingPolicy
         t.slotsFull = !sm.canActivateCta();
         t.gridWork = dispatcher().hasWork();
         t.headroom = sm.hasResidencyHeadroom();
-        if (fineReg && !fineReg->readyOf(sm).empty())
-            t.earliestReady = fineReg->readyOf(sm).begin()->ready;
+        if (switching && !switching->readyOf(sm).empty())
+            t.earliestReady = switching->readyOf(sm).begin()->ready;
         SteppingPolicy::tick(sm, now);
         for (const Cta *cta : stalled_) {
             if (cta->state() == CtaState::Active)
@@ -300,10 +301,11 @@ probeStallTicks(const GpuConfig &config, const Kernel &kernel)
     const GpuRunResult expected = plain.run();
 
     std::unique_ptr<Policy> inner = makePolicy(config);
-    const auto *fine_reg = dynamic_cast<const FineRegPolicy *>(inner.get());
+    const auto *switching =
+        dynamic_cast<const SwitchingPolicy *>(inner.get());
     auto wrapper = std::make_unique<SwitchProbe>(std::move(inner));
     SwitchProbe &probe = *wrapper;
-    probe.fineReg = fine_reg;
+    probe.switching = switching;
     Gpu gpu(config, kernel, std::move(wrapper));
     const GpuRunResult result = gpu.run();
     EXPECT_FALSE(result.hitCycleLimit);
@@ -313,25 +315,33 @@ probeStallTicks(const GpuConfig &config, const Kernel &kernel)
 }
 
 /**
- * FineReg on one SM with four active slots, eight resident ones and growth
- * never damped. Its partner test then reads: grid work and residency
- * headroom, or a pending CTA ready by now.
+ * The gate tests run FineReg, Virtual Thread and RegMutex on one SM with
+ * four active slots, eight resident ones and growth never damped, on a
+ * kernel of 48 CTAs with 24 warp-registers each. Eight such CTAs fill an
+ * eighth of the register file (and of RegMutex's BRS pool), so a fresh
+ * CTA's register-room term always holds, and the partner test of all
+ * three reads: grid work and residency headroom, or a pending CTA ready
+ * by now. (RegMutex suspends the stalled CTA before it asks the SRP for
+ * the partner's grant, so an SRP refusal does not keep it active.)
  */
-GpuConfig
-gateConfig()
+class StallSwitchGate : public ::testing::TestWithParam<std::string>
 {
-    GpuConfig config = configFor(PolicyKind::FineReg, 1);
-    config.sm.maxCtas = 4;
-    config.sm.maxResidentCtas = 8;
-    config.policy.pendingGrowthFactor = 100.0;
-    return config;
-}
+  protected:
+    std::vector<StallTick>
+    probe()
+    {
+        GpuConfig config = configFor(*parsePolicyName(GetParam()), 1);
+        config.sm.maxCtas = 4;
+        config.sm.maxResidentCtas = 8;
+        config.policy.pendingGrowthFactor = 100.0;
+        return probeStallTicks(config, *streamingKernel(48));
+    }
+};
 
-TEST(StallSwitchGate, StalledCtaWithoutPartnerStaysActive)
+TEST_P(StallSwitchGate, StalledCtaWithoutPartnerStaysActive)
 {
-    const auto kernel = streamingKernel(48);
     unsigned closed = 0;
-    for (const StallTick &t : probeStallTicks(gateConfig(), *kernel)) {
+    for (const StallTick &t : probe()) {
         if (!t.slotsFull || t.gridWork || t.earliestReady <= t.now)
             continue;
         ++closed;
@@ -340,12 +350,11 @@ TEST(StallSwitchGate, StalledCtaWithoutPartnerStaysActive)
     EXPECT_GT(closed, 0u);
 }
 
-TEST(StallSwitchGate, OpensAtTheEarliestPendingReadyCycle)
+TEST_P(StallSwitchGate, OpensAtTheEarliestPendingReadyCycle)
 {
-    const auto kernel = streamingKernel(48);
     unsigned one_early = 0;
     unsigned on_time = 0;
-    for (const StallTick &t : probeStallTicks(gateConfig(), *kernel)) {
+    for (const StallTick &t : probe()) {
         if (!t.slotsFull || t.gridWork)
             continue;
         if (t.earliestReady == t.now + 1) {
@@ -360,14 +369,13 @@ TEST(StallSwitchGate, OpensAtTheEarliestPendingReadyCycle)
     EXPECT_GT(on_time, 0u);
 }
 
-TEST(StallSwitchGate, OpensOnGridWorkWithResidencyHeadroom)
+TEST_P(StallSwitchGate, OpensOnGridWorkWithResidencyHeadroom)
 {
     // No pending CTA is ready on these ticks, so grid work is the only
     // partner, and it counts only while a CTA can still become resident.
-    const auto kernel = streamingKernel(48);
     unsigned no_room = 0;
     unsigned room = 0;
-    for (const StallTick &t : probeStallTicks(gateConfig(), *kernel)) {
+    for (const StallTick &t : probe()) {
         if (!t.slotsFull || !t.gridWork || t.earliestReady <= t.now)
             continue;
         if (t.headroom) {
@@ -381,6 +389,13 @@ TEST(StallSwitchGate, OpensOnGridWorkWithResidencyHeadroom)
     EXPECT_GT(no_room, 0u);
     EXPECT_GT(room, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SwitchingPolicies, StallSwitchGate,
+    ::testing::Values("finereg", "virtualthread", "regmutex"),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(StallSwitchGate, RegDramStillDemotesWhenOnlyTheDramTierHasRoom)
 {

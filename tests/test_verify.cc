@@ -333,6 +333,20 @@ TEST(Watchdog, CycleLimitFillsStallDiagnostic)
     EXPECT_FALSE(r.stallDiagnostic.empty());
 }
 
+TEST(Watchdog, StallDiagnosticShowsReadyCyclesOfEverySwitchingPolicy)
+{
+    // Capped once Virtual Thread has parked CTAs: each pending CTA's line
+    // carries its ready estimate, as FineReg's always did.
+    const auto kernel = mixedKernel(256);
+    GpuConfig config = smallConfig(PolicyKind::VirtualThread);
+    config.maxCycles = 3000;
+    const SimResult r = Simulator::run(config, *kernel);
+    EXPECT_TRUE(r.hitCycleLimit);
+    EXPECT_NE(r.stallDiagnostic.find("pending cta"), std::string::npos);
+    EXPECT_NE(r.stallDiagnostic.find("ready at cycle"), std::string::npos)
+        << r.stallDiagnostic;
+}
+
 TEST(Watchdog, HealthyRunNeverTrips)
 {
     const auto kernel = mixedKernel();
