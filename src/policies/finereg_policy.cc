@@ -74,10 +74,10 @@ FineRegPolicy::onResumed(Sm &sm, Cta &cta, Cycle wake)
     // posScratch holds, per warp, the 1-based chain position of its last
     // register (0 = none in the chain).
     for (auto &warp : cta.warps()) {
-        if (!warp->finished()) {
-            warp->setEarliestIssue(
-                wake + st.rmu->transferLatency(st.posScratch[warp->id()]));
-        }
+        if (warp->finished())
+            continue;
+        warp->setEarliestIssue(
+            wake + st.rmu->transferLatency(st.posScratch[warp->id()]));
     }
 }
 
