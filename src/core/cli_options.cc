@@ -50,6 +50,19 @@ parsePolicyName(const std::string &name)
     return std::nullopt;
 }
 
+const char *
+policyCliName(PolicyKind kind)
+{
+    switch (kind) {
+      case PolicyKind::Baseline: return "baseline";
+      case PolicyKind::VirtualThread: return "vt";
+      case PolicyKind::RegDram: return "regdram";
+      case PolicyKind::RegMutex: return "regmutex";
+      case PolicyKind::FineReg: return "finereg";
+    }
+    return "baseline";
+}
+
 ParseResult
 parseCliOptions(const std::vector<std::string> &args)
 {
@@ -224,28 +237,6 @@ parseCliOptions(const std::vector<std::string> &args)
                 return fail("--watchdog-cycles must be >= 0");
             options.config.verify.watchdogCycles =
                 static_cast<Cycle>(cycles);
-        } else if (arg == "--fault-seed") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail("--fault-seed needs a value");
-            ++i;
-            options.config.verify.fault.seed =
-                static_cast<std::uint64_t>(std::atoll(value->c_str()));
-        } else if (arg == "--fault-dram" || arg == "--fault-pcrf" ||
-                   arg == "--fault-bitvec") {
-            const auto value = need_value(i, arg);
-            if (!value)
-                return fail(arg + " needs a probability");
-            ++i;
-            const double prob = std::atof(value->c_str());
-            if (prob < 0.0 || prob > 1.0)
-                return fail(arg + " must be in [0, 1]");
-            if (arg == "--fault-dram")
-                options.config.verify.fault.dramDelayProb = prob;
-            else if (arg == "--fault-pcrf")
-                options.config.verify.fault.pcrfFullProb = prob;
-            else
-                options.config.verify.fault.bitvecMissProb = prob;
         } else if (arg == "--job-timeout-ms") {
             const auto value = need_value(i, arg);
             if (!value)
@@ -311,11 +302,6 @@ cliUsage()
            "                      audits every edge)\n"
            "  --watchdog-cycles N deadlock watchdog threshold (0 = off,\n"
            "                      default 2000000)\n"
-           "  --fault-seed N      enable deterministic fault injection\n"
-           "                      (0 = off, default)\n"
-           "  --fault-dram P      injected DRAM-delay probability\n"
-           "  --fault-pcrf P      injected PCRF-full probability\n"
-           "  --fault-bitvec P    injected bit-vector-cache-miss probability\n"
            "  --job-timeout-ms MS per-job wall-clock deadline; a run that\n"
            "                      overruns it fails with a timeout (0 = off,\n"
            "                      default)\n"

@@ -86,10 +86,6 @@ struct ParseResult
  *   --max-cycles N            simulation cycle cap
  *   --audit-interval N        invariant auditor period (0 = off)
  *   --watchdog-cycles N       deadlock watchdog threshold (0 = off)
- *   --fault-seed N            deterministic fault injection (0 = off)
- *   --fault-dram P            injected DRAM-delay probability
- *   --fault-pcrf P            injected PCRF-full probability
- *   --fault-bitvec P          injected bit-vector-cache-miss probability
  *   --job-timeout-ms MS       per-job wall-clock deadline (0 = off)
  *   --resume FILE             journal completed jobs to FILE and replay
  *                             any already recorded there
@@ -106,6 +102,10 @@ std::string cliUsage();
 
 /** Parse a policy name ("finereg", "vt", ...); nullopt when unknown. */
 std::optional<PolicyKind> parsePolicyName(const std::string &name);
+
+/** The --policy spelling of @p kind ("vt", "regdram", ...): usable in
+ * repro commands and, being alphanumeric, in gtest parameter names. */
+const char *policyCliName(PolicyKind kind);
 
 } // namespace finereg
 

@@ -125,7 +125,7 @@ struct GpuConfig
      */
     bool trackValues = false;
 
-    /** Hardening knobs: invariant auditor, watchdog, fault injection. */
+    /** Hardening knobs: invariant auditor, watchdog. */
     VerifyConfig verify{};
 
     /** The paper's Table I setup. */

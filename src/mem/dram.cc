@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "verify/fault_injection.hh"
 #include "verify/sim_error.hh"
 
 namespace finereg
@@ -30,11 +29,8 @@ Dram::serve(Cycle now, std::uint64_t bytes, TrafficClass cls)
     const double transfer =
         static_cast<double>(bytes) / config_.bytesPerCycle;
     nextFree_ = start + transfer;
-    Cycle done = static_cast<Cycle>(
+    return static_cast<Cycle>(
         std::ceil(start + config_.accessLatency + transfer));
-    if (fault_)
-        done += fault_->dramDelay();
-    return done;
 }
 
 std::uint64_t

@@ -18,8 +18,6 @@
 namespace finereg
 {
 
-class FaultInjector;
-
 struct DramConfig
 {
     /** Bytes the channel moves per core cycle (352.5e9 / 1126e6). */
@@ -53,12 +51,8 @@ class Dram
     /** Reset the channel's queue (between experiments). */
     void reset() { nextFree_ = 0.0; }
 
-    /** Attach (or detach with nullptr) a deterministic fault injector. */
-    void setFaultInjector(FaultInjector *fault) { fault_ = fault; }
-
   private:
     DramConfig config_;
-    FaultInjector *fault_ = nullptr;
     /** Earliest time the channel can start a new transfer. Fractional so
      * that sub-cycle transfers (128 B at ~313 B/cycle) accumulate exactly
      * instead of each rounding up to a full cycle. */

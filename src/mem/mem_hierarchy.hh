@@ -67,12 +67,6 @@ class MemHierarchy
     /** Invalidate all caches and reset channel queues. */
     void reset();
 
-    /** Attach (or detach with nullptr) a deterministic fault injector. */
-    void setFaultInjector(FaultInjector *fault)
-    {
-        dram_->setFaultInjector(fault);
-    }
-
   private:
     MemHierarchyConfig config_;
     std::vector<std::unique_ptr<Cache>> l1s_;

@@ -6,7 +6,6 @@
 #include "core/gpu_config.hh"
 #include "ref/cta_values.hh"
 #include "sm/gpu.hh"
-#include "verify/fault_injection.hh"
 #include "verify/sim_error.hh"
 
 namespace finereg
@@ -41,8 +40,7 @@ FineRegPolicy::onBind()
             "acrf_sm" + std::to_string(s), pc.acrfBytes);
         st->pcrf = std::make_unique<Pcrf>(pc.pcrfBytes, gpu().stats());
         st->rmu = std::make_unique<Rmu>(rmu_config, gpu().context(),
-                                        gpu().mem(), gpu().stats(),
-                                        gpu().faultInjector());
+                                        gpu().mem(), gpu().stats());
         states_.push_back(std::move(st));
     }
     stalledFound_ = &gpu().stats().counter("finereg.stalled_found");
@@ -142,13 +140,7 @@ FineRegPolicy::switchOut(Sm &sm, Cta &cta, const SwitchPartner &partner,
     // initiation cost (plus its own restore chain when resuming).
     const Cycle base_latency = switchLatency();
 
-    // Injected fault: a canStore query may be forced to report the PCRF
-    // full, pushing the switch onto the Fig. 6(b) swap path.
-    FaultInjector *fault = gpu().faultInjector();
-    const bool pcrf_has_room =
-        st.pcrf->canStore(n_live) && !(fault && fault->forcePcrfFull());
-
-    if (pcrf_has_room) {
+    if (st.pcrf->canStore(n_live)) {
         // Fig. 6(a): free PCRF slots — evict and introduce a CTA.
         evictCta(sm, cta, gather, now);
         if (ready_pending) {

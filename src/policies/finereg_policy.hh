@@ -54,7 +54,7 @@ class FineRegPolicy final : public SwitchingPolicy
         return *state(sm).acrf;
     }
 
-    /** Mutable introspection for corruption/fault-injection tests. */
+    /** Mutable introspection for state-corruption tests. */
     Pcrf &mutablePcrfOf(const Sm &sm) { return *state(sm).pcrf; }
     RegFileAllocator &mutableAcrfOf(const Sm &sm) { return *state(sm).acrf; }
 

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 
-#include "verify/fault_injection.hh"
-
 namespace finereg
 {
 
 Rmu::Rmu(const RmuConfig &config, const KernelContext &context,
-         MemHierarchy &mem, StatGroup &stats, FaultInjector *fault)
+         MemHierarchy &mem, StatGroup &stats)
     : config_(config), context_(&context), mem_(&mem),
-      cache_(config.bitvecCacheEntries, stats), fault_(fault),
+      cache_(config.bitvecCacheEntries, stats),
       gathers_(&stats.counter("rmu.gathers")),
       wordOps_(&stats.counter("rmu.bitvec_word_ops"))
 {
@@ -44,10 +42,7 @@ Rmu::gatherLiveRegs(const Cta &cta, Cycle now)
             for (const auto &entry : warp->simtStack()) {
                 live |= context_->liveTable().lookup(entry.pc);
                 ++word_ops; // one 64-bit union per stack level
-                bool hit = cache_.access(entry.pc);
-                if (hit && fault_ && fault_->forceBitvecMiss())
-                    hit = false; // injected fault: treat the hit as a miss
-                if (!hit) {
+                if (!cache_.access(entry.pc)) {
                     ++out.cacheMisses;
                     // 12-byte table entry fetched from off-chip memory.
                     const Cycle done = mem_->offchipTransfer(

@@ -37,14 +37,11 @@ struct RmuConfig
     int dropLiveReg = -1;
 };
 
-class FaultInjector;
-
 class Rmu
 {
   public:
-    /** @p fault (optional) can force bit-vector cache hits to miss. */
     Rmu(const RmuConfig &config, const KernelContext &context,
-        MemHierarchy &mem, StatGroup &stats, FaultInjector *fault = nullptr);
+        MemHierarchy &mem, StatGroup &stats);
 
     struct Gather
     {
@@ -125,7 +122,6 @@ class Rmu
     const KernelContext *context_;
     MemHierarchy *mem_;
     BitvecCache cache_;
-    FaultInjector *fault_;
     Counter *gathers_;
     Counter *wordOps_;
     Gather scratch_;

@@ -19,10 +19,6 @@ Gpu::Gpu(const GpuConfig &config, const Kernel &kernel,
       mem_(std::make_unique<MemHierarchy>(config.mem, config.numSms,
                                           stats_)),
       dispatcher_(kernel.gridCtas()),
-      fault_(config.verify.fault.enabled()
-                 ? std::make_unique<FaultInjector>(config.verify.fault,
-                                                   stats_)
-                 : nullptr),
       policy_(policy ? std::move(policy) : makePolicy(config)),
       cyclesCtr_(&stats_.counter("gpu.cycles")),
       depletionStallCycles_(&stats_.counter("gpu.depletion_stall_cycles")),
@@ -31,7 +27,6 @@ Gpu::Gpu(const GpuConfig &config, const Kernel &kernel,
       fullAudits_(&stats_.counter("verify.full_audits")),
       edgeAudits_(&stats_.counter("verify.edge_audits"))
 {
-    mem_->setFaultInjector(fault_.get());
     sms_.reserve(config_.numSms);
     for (unsigned s = 0; s < config_.numSms; ++s) {
         sms_.push_back(std::make_unique<Sm>(

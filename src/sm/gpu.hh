@@ -23,7 +23,6 @@
 #include "sm/cta_dispatcher.hh"
 #include "sm/kernel_context.hh"
 #include "sm/sm.hh"
-#include "verify/fault_injection.hh"
 
 namespace finereg
 {
@@ -70,9 +69,6 @@ class Gpu
 
     Cycle nowCycle() const { return now_; }
 
-    /** Active fault injector, or nullptr when fault injection is off. */
-    FaultInjector *faultInjector() { return fault_.get(); }
-
     /**
      * The architectural end state accumulated from retired CTAs (null
      * unless config.trackValues). CTAs that never retired — cycle cap,
@@ -90,7 +86,6 @@ class Gpu
     std::unique_ptr<MemHierarchy> mem_;
     std::vector<std::unique_ptr<Sm>> sms_;
     CtaDispatcher dispatcher_;
-    std::unique_ptr<FaultInjector> fault_;
     std::unique_ptr<Policy> policy_;
     std::shared_ptr<ArchState> archState_;
     Cycle now_ = 0;

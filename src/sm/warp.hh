@@ -40,7 +40,7 @@ class Warp
      * outcomes, divergence masks, address reuse). Seeding per warp from
      * the grid CTA id makes the executed instruction sequence a pure
      * function of the kernel and seed — independent of issue timing, CTA
-     * placement, and injected faults.
+     * placement, and the management policy.
      */
     Warp(Cta *cta, WarpId id, const KernelContext &context,
          std::uint64_t seed = 0);

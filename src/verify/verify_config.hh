@@ -1,15 +1,13 @@
 /**
  * @file
  * Configuration for the hardened-core verification layer: the invariant
- * auditor, the deadlock/livelock watchdog, and the deterministic
- * fault-injection harness. Lives in GpuConfig::verify.
+ * auditor and the deadlock/livelock watchdog. Lives in GpuConfig::verify.
  */
 
 #ifndef FINEREG_VERIFY_VERIFY_CONFIG_HH
 #define FINEREG_VERIFY_VERIFY_CONFIG_HH
 
 #include <atomic>
-#include <cstdint>
 #include <memory>
 
 #include "common/types.hh"
@@ -33,35 +31,6 @@ class CancelToken
 
   private:
     std::atomic<bool> expired_{false};
-};
-
-/**
- * Deterministic fault injection (seeded from the simulator's Rng). A zero
- * seed disables every injection point; with a nonzero seed each point
- * fires with its configured probability, and the injected schedule is a
- * pure function of the seed and the (deterministic) simulation, so the
- * same seed always produces the same faults.
- */
-struct FaultConfig
-{
-    /** Master switch: 0 disables all injection. */
-    std::uint64_t seed = 0;
-
-    /** P(extra delay) per DRAM transfer, and the delay applied. Delaying
-     * individual transfers while others proceed also reorders response
-     * completion relative to the fault-free schedule. */
-    double dramDelayProb = 0.01;
-    Cycle dramDelayCycles = 400;
-
-    /** P(the PCRF reports itself full) per canStore query during a CTA
-     * switch — forces FineReg onto its PCRF-full fallback paths. */
-    double pcrfFullProb = 0.02;
-
-    /** P(a bit-vector cache hit is turned into a miss) per lookup —
-     * forces the off-chip 12-byte table fetch. */
-    double bitvecMissProb = 0.05;
-
-    bool enabled() const { return seed != 0; }
 };
 
 struct VerifyConfig
@@ -93,8 +62,6 @@ struct VerifyConfig
      * no legitimate workload idles the whole device this long.
      */
     Cycle watchdogCycles = 2'000'000;
-
-    FaultConfig fault;
 
     /**
      * Cooperative cancellation token, polled once per run-loop iteration.

@@ -59,6 +59,10 @@ TEST(CliOptions, PolicyNames)
     EXPECT_EQ(parsePolicyName("regmutex"), PolicyKind::RegMutex);
     EXPECT_EQ(parsePolicyName("baseline"), PolicyKind::Baseline);
     EXPECT_FALSE(parsePolicyName("gpu").has_value());
+    for (const PolicyKind kind :
+         {PolicyKind::Baseline, PolicyKind::VirtualThread,
+          PolicyKind::RegDram, PolicyKind::RegMutex, PolicyKind::FineReg})
+        EXPECT_EQ(parsePolicyName(policyCliName(kind)), kind);
 }
 
 TEST(CliOptions, PolicyAll)
@@ -123,17 +127,10 @@ TEST(CliOptions, JobsFlag)
 TEST(CliOptions, VerifyFlags)
 {
     const auto r = parse({"--audit-interval", "1000", "--watchdog-cycles",
-                          "50000", "--fault-seed", "42", "--fault-dram",
-                          "0.1", "--fault-pcrf", "0.2", "--fault-bitvec",
-                          "0.3"});
+                          "50000"});
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.options->config.verify.auditInterval, 1000u);
     EXPECT_EQ(r.options->config.verify.watchdogCycles, 50000u);
-    EXPECT_EQ(r.options->config.verify.fault.seed, 42u);
-    EXPECT_TRUE(r.options->config.verify.fault.enabled());
-    EXPECT_DOUBLE_EQ(r.options->config.verify.fault.dramDelayProb, 0.1);
-    EXPECT_DOUBLE_EQ(r.options->config.verify.fault.pcrfFullProb, 0.2);
-    EXPECT_DOUBLE_EQ(r.options->config.verify.fault.bitvecMissProb, 0.3);
 }
 
 TEST(CliOptions, VerifyDefaultsOff)
@@ -141,15 +138,15 @@ TEST(CliOptions, VerifyDefaultsOff)
     const auto r = parse({});
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.options->config.verify.auditInterval, 0u);
-    EXPECT_FALSE(r.options->config.verify.fault.enabled());
 }
 
 TEST(CliOptions, BadVerifyValuesRejected)
 {
-    EXPECT_FALSE(parse({"--fault-dram", "1.5"}).ok());
-    EXPECT_FALSE(parse({"--fault-pcrf", "-0.1"}).ok());
     EXPECT_FALSE(parse({"--audit-interval"}).ok());
     EXPECT_FALSE(parse({"--watchdog-cycles", "-5"}).ok());
+    // A script still passing a removed fault-injection flag must fail
+    // loudly, not run un-faulted.
+    EXPECT_FALSE(parse({"--fault-seed", "42"}).ok());
 }
 
 TEST(CliOptions, SchedulerChoice)

@@ -6,7 +6,7 @@
  * test-only stepping reference (stepping_policy.hh) across all five
  * policies, both warp schedulers and every suite app (serially and
  * through a ParallelRunner pool), the PCRF arena is stressed through
- * fragmentation churn and fault-forced PCRF-full fallbacks, and the
+ * fragmentation churn, and the
  * host_perf counters are sanity-checked so the wall-time telemetry stays
  * trustworthy.
  */
@@ -133,18 +133,34 @@ TEST(SteppingReference, SerialAndParallelRunsAreIdentical)
         expectSimEqual(a[i], b[i], "job " + std::to_string(i));
 }
 
-TEST(SteppingReference, ScanMatchesSteppingUnderFaultInjection)
+TEST(SteppingReference, DepletionRowsMatchStepping)
 {
-    // The fault schedule is a pure function of the seed and the sequence
-    // of injection-point queries, which is simulated-state driven — so a
-    // fault-forced PCRF-full fallback must replay identically whether the
-    // clock skips idle cycles or steps through them.
-    const auto kernel = Suite::makeKernel(Suite::byName("HS"), 0.05);
-    GpuConfig config = perfConfig(PolicyKind::FineReg);
-    config.verify.fault.seed = 0xfa011;
-    config.verify.fault.pcrfFullProb = 0.25;
-    expectSimEqual(runStepping(config, *kernel),
-                   Simulator::run(config, *kernel), "finereg/faulted");
+    // The GoldenTiming rows outside the matrix above: RegMutex with the
+    // Fig. 14 SRP ratio, whose SRP refusals set the depletion flag, and
+    // FineReg at scale 0.1 on AT, CF and LB, where a full PCRF refuses
+    // Fig. 6(b) swaps. Depletion stalls must replay identically whether
+    // the clock skips idle cycles or steps through them.
+    for (const SchedKind sched : {SchedKind::GTO, SchedKind::LRR}) {
+        const std::string sched_name =
+            sched == SchedKind::GTO ? " GTO " : " LRR ";
+        for (const SuiteEntry &entry : Suite::all()) {
+            const auto kernel = Suite::makeKernel(entry, 0.02);
+            GpuConfig config = perfConfig(PolicyKind::RegMutex);
+            config.sm.sched = sched;
+            config.policy.srpRatio = 0.125;
+            expectSimEqual(runStepping(config, *kernel),
+                           Simulator::run(config, *kernel),
+                           entry.abbrev + sched_name + "srp=0.125");
+        }
+        for (const char *app : {"AT", "CF", "LB"}) {
+            const auto kernel = Suite::makeKernel(Suite::byName(app), 0.1);
+            GpuConfig config = perfConfig(PolicyKind::FineReg);
+            config.sm.sched = sched;
+            expectSimEqual(runStepping(config, *kernel),
+                           Simulator::run(config, *kernel),
+                           app + sched_name + "FineReg/scale=0.1");
+        }
+    }
 }
 
 TEST(HostPerf, ScanSkipsCyclesAndSteppingDoesNot)

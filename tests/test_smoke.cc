@@ -6,10 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cli_options.hh"
 #include "core/experiment.hh"
 
 namespace finereg
 {
+
+/** gtest prints a PolicyKind parameter by its display name. */
+void
+PrintTo(PolicyKind kind, std::ostream *os)
+{
+    *os << policyKindName(kind);
+}
+
 namespace
 {
 
@@ -40,7 +49,10 @@ INSTANTIATE_TEST_SUITE_P(
     Policies, SmokeAllPolicies,
     ::testing::Values(PolicyKind::Baseline, PolicyKind::VirtualThread,
                       PolicyKind::RegDram, PolicyKind::RegMutex,
-                      PolicyKind::FineReg));
+                      PolicyKind::FineReg),
+    [](const ::testing::TestParamInfo<PolicyKind> &info) {
+        return std::string(policyCliName(info.param));
+    });
 
 } // namespace
 } // namespace finereg

@@ -73,12 +73,20 @@ TEST(SweepJournal, RuntimeOnlyKnobsDoNotChangeTheKey)
     armed.verify.cancel = std::make_shared<CancelToken>();
     armed.verify.cancel->expire();
     EXPECT_EQ(base, makeSweepJobKey(*kernel, armed).toString());
+}
 
-    // The in-simulation fault schedule DOES affect results, so it is part
-    // of the key.
-    GpuConfig faulted = config;
-    faulted.verify.fault.seed = 7;
-    EXPECT_NE(base, makeSweepJobKey(*kernel, faulted).toString());
+TEST(SweepJournal, DefaultConfigFingerprintIsPinned)
+{
+    // Sweep journals and the perfbench reference stamps are keyed on this
+    // hash: a change to configFingerprint or to a default config knob
+    // orphans every recorded job.
+    for (const PolicyKind kind :
+         {PolicyKind::Baseline, PolicyKind::VirtualThread,
+          PolicyKind::RegDram, PolicyKind::RegMutex, PolicyKind::FineReg}) {
+        EXPECT_EQ(configFingerprint(Experiment::configFor(kind)),
+                  0xe19b2739c1287ac1ull)
+            << policyKindName(kind);
+    }
 }
 
 TEST(SweepJournal, EntryJsonRoundTripsBitExactly)

@@ -113,20 +113,6 @@ runDiffCheck(const CliOptions &options)
     return any_diverged ? 1 : 0;
 }
 
-/** CLI spelling of a policy for reconstructed repro commands. */
-const char *
-policyCliName(PolicyKind kind)
-{
-    switch (kind) {
-      case PolicyKind::Baseline: return "baseline";
-      case PolicyKind::VirtualThread: return "vt";
-      case PolicyKind::RegDram: return "regdram";
-      case PolicyKind::RegMutex: return "regmutex";
-      case PolicyKind::FineReg: return "finereg";
-    }
-    return "baseline";
-}
-
 /**
  * The exact command that re-runs one failed (app, policy) cell alone:
  * the original argv minus the selection/parallelism/resume flags, plus
